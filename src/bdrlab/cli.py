@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, validate
 from .data import load_idx, make_gaussian_mixture, make_rings, split_phases
 from .reporting import (
     atomic_write_text,
@@ -144,9 +144,14 @@ def _cmd_sweep(args):
     attr, cast = SWEEP_PARAMS[args.param]
     values = _parse_values(args.values, cast)
     out_root = args.out or cfg.out
+    swept_configs = []
+    for value in values:  # every value is checked before the first run starts
+        try:
+            swept_configs.append((value, validate(replace(cfg, **{attr: value}))))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep value {args.param}={value}: {exc}") from exc
     rows = []
-    for value in values:
-        swept = replace(cfg, **{attr: value})
+    for value, swept in swept_configs:
         sub_dir = os.path.join(out_root, f"{args.param}={value}")
         for summary in _execute(swept, sub_dir, args.jobs):
             peak = max(summary["f_max"]) if summary["f_max"] else 0.0

@@ -10,8 +10,9 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields, replace
 
+from .data import ProtocolError, phase_sizes
 from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM
-from .training import LOSS_VARIANTS, TrainConfig
+from .training import SettingError, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -163,7 +164,17 @@ _SCHEMA = {
 }
 
 
-def _validate(cfg: ExperimentConfig):
+# ExperimentConfig / TrainConfig field -> (section, key), for error messages
+_KEY_OF = {attr: (section, key) for section, keys in _SCHEMA.items() for key, (attr, _) in keys.items()}
+_KEY_OF["loss_variant"] = ("run", "variants")
+
+
+def validate(cfg: ExperimentConfig):
+    """Reject a config that could not run, naming the offending key.
+
+    The protocol and training checks are the ones ``split_phases`` and
+    ``TrainConfig`` apply at run time, run here for every variant.
+    """
     if cfg.dataset_kind not in ("gaussian", "rings", "idx"):
         raise ConfigError(f"unknown dataset kind {cfg.dataset_kind!r}")
     if cfg.dataset_kind == "idx" and (not cfg.idx_images or not cfg.idx_labels):
@@ -172,13 +183,19 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"unknown memory mode {cfg.memory_mode!r}")
     if cfg.memory_selection not in (RANDOM, HERDING):
         raise ConfigError(f"unknown memory selection {cfg.memory_selection!r}")
-    for variant in cfg.variants:
-        if variant not in LOSS_VARIANTS:
-            raise ConfigError(f"unknown loss variant {variant!r}, expected one of {LOSS_VARIANTS}")
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
-    if cfg.variance_source not in ("feature", "logit"):
-        raise ConfigError(f"variance source must be 'feature' or 'logit', got {cfg.variance_source!r}")
+    if cfg.dataset_kind != "idx":  # an idx file's class count is known only once it is read
+        try:
+            phase_sizes(cfg.classes, cfg.initial_classes, cfg.increment)
+        except ProtocolError as exc:
+            raise ConfigError(f"bad value for 'initial_classes' or 'increment' in [protocol]: {exc}") from exc
+    for variant in cfg.variants:
+        try:
+            cfg.train_config(variant, cfg.seeds[0])
+        except SettingError as exc:
+            section, key = _KEY_OF[exc.name]
+            raise ConfigError(f"bad value for '{key}' in [{section}]: {exc}") from exc
     return cfg
 
 
@@ -201,7 +218,7 @@ def parse_config(text) -> ExperimentConfig:
                 overrides[attr] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for '{key}' in [{section}]: {raw!r} ({exc})") from exc
-    return _validate(replace(ExperimentConfig(), **overrides))
+    return validate(replace(ExperimentConfig(), **overrides))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -67,10 +67,6 @@ class LabeledSet:
         present, counts = np.unique(self.labels, return_counts=True)
         return {int(c): int(n) for c, n in zip(present, counts)}
 
-    def subset(self, indices):
-        idx = np.asarray(indices)
-        return LabeledSet(Tensor(self.features.data[idx]), self.labels[idx].copy(), self.class_count)
-
 
 def concat_sets(sets):
     """Concatenate labeled sets; class_count becomes the largest of the parts."""
@@ -194,6 +190,17 @@ def load_idx(images_path, labels_path):
     return LabeledSet(Tensor(feats), labels, int(labels.max()) + 1)
 
 
+def phase_sizes(total, initial_classes, increment):
+    """Classes per phase: B (S when B = 0), then blocks of S that must use up
+    all ``total`` classes exactly."""
+    first = initial_classes if initial_classes > 0 else increment
+    if first < 1 or increment < 1 or first > total or (total - first) % increment != 0:
+        raise ProtocolError(
+            f"cannot split {total} classes with initial block {initial_classes} and increment {increment}"
+        )
+    return [first] + [increment] * ((total - first) // increment)
+
+
 def split_phases(data, initial_classes, increment, seed=0, test_fraction=TEST_FRACTION):
     """Partition a labeled set into an incremental phase stream.
 
@@ -202,18 +209,9 @@ def split_phases(data, initial_classes, increment, seed=0, test_fraction=TEST_FR
     increments of S. Each phase carves out a stratified test slice.
     """
     total = data.class_count
-    first = initial_classes if initial_classes > 0 else increment
-    if first < 1 or increment < 1:
-        raise ProtocolError(
-            f"cannot split {total} classes with initial block {initial_classes} and increment {increment}"
-        )
-    if first > total or (total - first) % increment != 0:
-        raise ProtocolError(
-            f"cannot split {total} classes with initial block {initial_classes} and increment {increment}"
-        )
+    sizes = phase_sizes(total, initial_classes, increment)
     rng = rng_for(seed, SPLIT, 0)
     class_order = rng.permutation(total)
-    sizes = [first] + [increment] * ((total - first) // increment)
 
     train_phases = []
     test_phases = []

@@ -6,12 +6,21 @@ exemplars. The total loss is the chosen classification variant plus a
 temperature-softened consolidation term against the frozen previous model.
 Every step also records the gradient decomposition into new-class and
 old-class contribution sums, which feeds the destruction diagnostics.
+
+The classifier runs its own numpy forward and backward pass; the autodiff
+tape of ``tensor`` only differentiates the loss heads, on a leaf over the
+logits. A step is one forward pass plus one backward pass per loss term.
+The new/old split comes from the classification loss's single backward
+pass: a weight's gradient is a sum of per-row outer products of layer input
+and row delta, so summing over the new-class or old-class rows alone gives
+each contribution (Goodfellow 2015, arXiv:1510.01799).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +29,7 @@ from .data import LabeledSet, PhaseStream, concat_sets
 from .diagnostics import bound_report, destruction_report, hessian_top_eigen, metrics
 from .memory import ExemplarMemory, merged_training_set
 from .seeding import BATCH, INIT, rng_for
-from .tensor import Tensor, ce_with_offset, kl_to_softmax, log_softmax, matmul, relu, weighted_ce
+from .tensor import Tensor, ce_with_offset, kl_to_softmax, log_softmax, weighted_ce
 
 LOSS_CE = "ce"
 LOSS_CR = "cr"
@@ -33,6 +42,14 @@ HEAD_INIT_SCALE = 0.01
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+class SettingError(ValueError):
+    """A ``TrainConfig`` field holds an invalid value; ``name`` is the field."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass
@@ -58,20 +75,43 @@ class TrainConfig:
     lr_decay_point: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if self.distill_weight < 0:
-            raise ValueError(f"distill weight must be non-negative, got {self.distill_weight}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch size and epochs must be at least 1")
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise ValueError(f"unknown loss variant {self.loss_variant!r}, expected one of {LOSS_VARIANTS}")
-        if self.variance_source not in ("feature", "logit"):
-            raise ValueError(f"variance source must be 'feature' or 'logit', got {self.variance_source!r}")
+        checks = [
+            ("lr", self.lr > 0, f"learning rate must be positive, got {self.lr}"),
+            ("sgd_momentum", 0.0 <= self.sgd_momentum < 1.0, f"momentum must lie in [0, 1), got {self.sgd_momentum}"),
+            ("distill_weight", self.distill_weight >= 0, f"distill weight must be non-negative, got {self.distill_weight}"),
+            ("batch_size", self.batch_size >= 1, f"batch size must be at least 1, got {self.batch_size}"),
+            ("epochs", self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}"),
+            (
+                "loss_variant",
+                self.loss_variant in LOSS_VARIANTS,
+                f"unknown loss variant {self.loss_variant!r}, expected one of {LOSS_VARIANTS}",
+            ),
+            (
+                "variance_source",
+                self.variance_source in ("feature", "logit"),
+                f"variance source must be 'feature' or 'logit', got {self.variance_source!r}",
+            ),
+        ]
         for name in ("m", "m_prime", "beta"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            checks.append((name, 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value}"))
+        for name, ok, message in checks:
+            if not ok:
+                raise SettingError(name, message)
+
+
+class Activations(NamedTuple):
+    """One forward pass: every layer's input (the head's last), the hidden
+    ReLU masks and the logits."""
+
+    inputs: list
+    masks: list
+    logits: np.ndarray
+
+    @property
+    def features(self):
+        """Penultimate features: the head's input."""
+        return self.inputs[-1]
 
 
 class Classifier:
@@ -105,18 +145,42 @@ class Classifier:
         out.extend((self.head_w, self.head_b))
         return out
 
-    def forward(self, x: Tensor):
-        """(penultimate features, logits) for a batch."""
-        h = x
+    def forward(self, x):
+        """Numpy forward pass over a batch of rows, kept for ``backward``."""
+        h = np.asarray(x, dtype=np.float64)
+        inputs, masks = [], []
         for w, b in self.layers:
-            h = relu(matmul(h, w) + b)
-        return h, matmul(h, self.head_w) + self.head_b
+            inputs.append(h)
+            a = h @ w.data + b.data
+            mask = a > 0.0  # subgradient at exactly 0 is 0
+            masks.append(mask)
+            h = np.where(mask, a, 0.0)
+        inputs.append(h)
+        return Activations(inputs, masks, h @ self.head_w.data + self.head_b.data)
+
+    def backward(self, acts, dlogits):
+        """Gradients of a loss whose gradient at the logits is ``dlogits``.
+
+        Returns the parameter gradients in ``params()`` order and, per layer
+        (head last), the row deltas: the loss gradient at that layer's
+        pre-activation, one row per sample. The numpy operations and their
+        order are the tape's, so the gradients equal its bit for bit.
+        """
+        weights = [w for w, _ in self.layers] + [self.head_w]
+        grads, deltas = [], []
+        g = dlogits
+        for i in reversed(range(len(weights))):
+            deltas.append(g)
+            grads += (g.sum(axis=0), acts.inputs[i].T @ g)
+            if i > 0:
+                g = (g @ weights[i].data.T) * acts.masks[i - 1]
+        return grads[::-1], deltas[::-1]
 
     def features_np(self, x):
-        return self.forward(Tensor(np.asarray(x, dtype=np.float64)))[0].data
+        return self.forward(x).features
 
     def logits_np(self, x):
-        return self.forward(Tensor(np.asarray(x, dtype=np.float64)))[1].data
+        return self.forward(x).logits
 
     def predict(self, x):
         return np.argmax(self.logits_np(x), axis=1)
@@ -160,16 +224,11 @@ class SGD:
         self.momentum = float(momentum)
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def step(self):
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
+    def step(self, grads):
+        """Apply one update from the gradients, given in parameter order."""
+        for p, v, g in zip(self.params, self._velocity, grads):
             v *= self.momentum
-            v += p.grad
+            v += g
             p.data -= self.lr * v
 
 
@@ -215,14 +274,8 @@ class BalanceState:
     schedule: balance.OffsetSchedule
 
 
-def _flat_params(model):
-    return np.concatenate([p.data.ravel() for p in model.params()])
-
-
-def _flat_grads(model):
-    return np.concatenate(
-        [np.zeros(p.data.size) if p.grad is None else p.grad.ravel() for p in model.params()]
-    )
+def _flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 def _set_flat_params(model, vec):
@@ -255,23 +308,27 @@ def _variant_loss_fn(variant, k, labels, schedule):
     raise ValueError(f"unknown loss variant {variant!r}")
 
 
-def _contribution_sums(model, feats, labels, idx, old_classes, loss_fn):
+def _contribution_sums(grads, acts, deltas, new_rows):
     """Summed per-sample gradients of the classification loss, split into the
-    new-class and old-class sub-batches (two scaled backward passes)."""
-    batch_labels = labels[idx]
+    batch's new-class rows and old-class rows.
+
+    ``grads`` and ``deltas`` come from the loss's backward pass over the whole
+    batch (``Classifier.backward``). The loss is a batch mean, so each sum is
+    scaled back up by the batch size.
+    """
+    scale = float(new_rows.size)
     sums = []
-    for mask in (batch_labels >= old_classes, batch_labels < old_classes):
-        sub = idx[mask]
-        if sub.size == 0:
-            sums.append(np.zeros(sum(p.data.size for p in model.params())))
-            continue
-        for p in model.params():
-            p.grad = None
-        _, logits = model.forward(Tensor(feats[sub]))
-        (loss_fn(logits, labels[sub]) * float(sub.size)).backward()
-        sums.append(_flat_grads(model))
-    for p in model.params():
-        p.grad = None
+    for rows in (new_rows, ~new_rows):
+        if rows.all():
+            parts = grads
+        elif not rows.any():
+            parts = [np.zeros_like(g) for g in grads]
+        else:
+            parts = []
+            for h, d in zip(acts.inputs, deltas):
+                d = d[rows]
+                parts += (h[rows].T @ d, d.sum(axis=0))
+        sums.append(scale * _flatten(parts))
     return sums[0], sums[1]
 
 
@@ -316,24 +373,27 @@ def train_phase(
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            x = Tensor(feats[idx])
             y = labels[idx]
-            features, logits = model.forward(x)
+            acts = model.forward(feats[idx])
             if balance_state is not None:
-                source = features.data if config.variance_source == "feature" else logits.data
+                source = acts.features if config.variance_source == "feature" else acts.logits
                 omega = balance.momentum_update(balance_state.stats, schedule, source, y)
                 for cls in range(k):
                     trace.balance_rows.append(
                         (step, cls, float(schedule.priors[cls]), float(omega[cls]), float(schedule.pi_hat[cls]))
                     )
+            # each loss term is differentiated from its own leaf over the
+            # logits and gets its own backward pass through the network
+            logits = Tensor(acts.logits, requires_grad=True)
             try:
                 loss_new = loss_fn(logits, y)
                 loss_old_term = None
                 loss_old_value = 0.0
                 if distilling:
                     teacher_logits = teacher.logits_np(feats[idx])
+                    old_logits = Tensor(acts.logits, requires_grad=True)
                     loss_old_term = distill_loss(
-                        logits[:, :old_classes], teacher_logits, config.distill_temperature
+                        old_logits[:, :old_classes], teacher_logits, config.distill_temperature
                     )
                     loss_old_value = loss_old_term.item()
                 elif old_loss_probe is not None:
@@ -345,14 +405,15 @@ def train_phase(
             if not np.isfinite(loss_new.data) or not np.isfinite(loss_old_value):
                 raise DivergenceError(f"non-finite loss at phase {phase_index}, step {step}")
 
-            grad_new, grad_old = _contribution_sums(model, feats, labels, idx, old_classes, loss_fn)
-
-            optimizer.zero_grad()
             loss_new.backward()
-            grad_total_sq = float(np.sum(_flat_grads(model) ** 2))
+            grads, deltas = model.backward(acts, logits.grad)
+            grad_total_sq = float(np.sum(_flatten(grads) ** 2))
+            grad_new, grad_old = _contribution_sums(grads, acts, deltas, y >= old_classes)
             if loss_old_term is not None:
                 (loss_old_term * config.distill_weight).backward()
-            optimizer.step()
+                old_grads, _ = model.backward(acts, old_logits.grad)
+                grads = [g + h for g, h in zip(grads, old_grads)]
+            optimizer.step(grads)
 
             trace.rows.append(
                 StepRecord(
@@ -375,19 +436,19 @@ def train_phase(
 def _old_phase_curvature(model, old_sets, iters=150, tol=1e-2, seed=0):
     """Top eigenvalue of the summed old-phase Hessians at the model's current
     parameters, via finite-difference Hessian-vector products."""
-    theta = _flat_params(model)
+    theta = _flatten(p.data for p in model.params())
 
     def grad_fn(vec):
         _set_flat_params(model, vec)
-        for p in model.params():
-            p.grad = None
         total = None
         for phase_set in old_sets:
-            _, logits = model.forward(Tensor(phase_set.features.data))
-            loss = ce_with_offset(logits, np.zeros(model.n_classes), phase_set.labels)
-            total = loss if total is None else total + loss
-        total.backward()
-        return _flat_grads(model)
+            acts = model.forward(phase_set.features.data)
+            logits = Tensor(acts.logits, requires_grad=True)
+            ce_with_offset(logits, np.zeros(model.n_classes), phase_set.labels).backward()
+            grads, _ = model.backward(acts, logits.grad)
+            # phase by phase, in the order the tape summed them
+            total = grads if total is None else [a + b for a, b in zip(total, grads)]
+        return _flatten(total)
 
     sigma = hessian_top_eigen(grad_fn, theta, iters=iters, tol=tol, seed=seed)
     _set_flat_params(model, theta)
@@ -442,8 +503,8 @@ def run_experiment(stream: PhaseStream, config: TrainConfig) -> RunResult:
             model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
             train_set = merged_training_set(memory, phase)
             if config.loss_variant == LOSS_BDR:
-                feats_t, logits_t = model.forward(Tensor(train_set.features.data))
-                source = feats_t.data if config.variance_source == "feature" else logits_t.data
+                acts = model.forward(train_set.features.data)
+                source = acts.features if config.variance_source == "feature" else acts.logits
                 stats = balance.stats_from_pass(source, train_set.labels, model.n_classes)
                 priors = balance.class_priors(np.bincount(train_set.labels, minlength=model.n_classes))
                 schedule = balance.init_schedule(

@@ -161,6 +161,49 @@ class TestCmdRun:
         assert len(lines) == 2  # one incremental phase
 
 
+class TestConfigErrorsAtParseTime:
+    # each input exits 2 with a config error naming the key, before any run starts
+
+    @pytest.mark.parametrize(
+        "edits, key",
+        [
+            ({"lr = 0.05": "lr = -1"}, "'lr'"),
+            ({"lr = 0.05": "lr = 0.05\nmomentum = 5"}, "'momentum'"),
+            (
+                {"classes = 4": "classes = 8", "initial_classes = 2": "initial_classes = 4", "increment = 2": "increment = 3"},
+                "'increment'",
+            ),
+        ],
+        ids=["negative_lr", "momentum_above_one", "indivisible_increment"],
+    )
+    def test_run_rejects(self, tmp_path, capsys, edits, key):
+        text = SMALL_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param, good, bad, key",
+        [("S", "2", "3", "'increment'"), ("m", "0.5", "1.5", "'m'")],
+        ids=["S", "m"],
+    )
+    def test_sweep_rejects(self, tmp_path, capsys, param, good, bad, key):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG)
+        out = tmp_path / "sweep"
+        # the good value listed first must not run either
+        assert main(["sweep", str(config_path), "--param", param, "--values", f"{good},{bad}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{param}={bad}" in err and key in err
+        assert not out.exists()
+
+
 class TestCmdSweep:
     def test_sweep_row_count(self, tmp_path):
         config_path = tmp_path / "exp.cfg"

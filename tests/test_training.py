@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from bdrlab import balance
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
 from bdrlab.seeding import INIT, rng_for
-from bdrlab.tensor import Tensor, log_softmax
+from bdrlab.tensor import Tensor, log_softmax, matmul, relu
 from bdrlab.training import (
+    LOSS_VARIANTS,
     Classifier,
     DivergenceError,
     TrainConfig,
+    _contribution_sums,
+    _flatten,
+    _variant_loss_fn,
     distill_loss,
     run_experiment,
     train_phase,
@@ -99,6 +104,79 @@ class TestDistillLoss:
 def _one_class_set(n=40, dim=3, seed=0):
     rng = np.random.default_rng(seed)
     return LabeledSet(Tensor(rng.standard_normal((n, dim))), np.zeros(n, dtype=np.int64), 1)
+
+
+def _tape_logits(model, x):
+    # the classifier's forward pass built on the autodiff tape
+    h = Tensor(x)
+    for w, b in model.layers:
+        h = relu(matmul(h, w) + b)
+    return matmul(h, model.head_w) + model.head_b
+
+
+class TestKernelAgainstTape:
+    # the tape is the reference for the classifier's numpy forward/backward
+
+    K, OLD = 5, 3
+
+    def _setup(self, variant):
+        rng = np.random.default_rng(12)
+        model = Classifier(6, (9, 7), self.K, rng_for(1, INIT, 0))
+        x = rng.standard_normal((23, 6))
+        y = rng.permutation(np.arange(23) % self.K)
+        schedule = balance.init_schedule(
+            balance.class_priors(np.bincount(y)), balance.compensation(rng.uniform(0.5, 2.0, self.K)), 0.8, 0.8, 0.99
+        )
+        teacher_logits = rng.standard_normal((23, self.OLD))
+        return model, x, y, _variant_loss_fn(variant, self.K, y, schedule), teacher_logits
+
+    @pytest.mark.parametrize("distill", [False, True], ids=["plain", "distill"])
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_gradients_equal_the_tapes(self, variant, distill):
+        model, x, y, loss_fn, teacher_logits = self._setup(variant)
+
+        tape_logits = _tape_logits(model, x)
+        loss_fn(tape_logits, y).backward()
+        if distill:
+            (distill_loss(tape_logits[:, : self.OLD], teacher_logits, 2.0) * 0.7).backward()
+        expected = [p.grad for p in model.params()]
+
+        # one backward per loss term, summed per parameter afterwards, as in train_phase
+        acts = model.forward(x)
+        assert np.array_equal(acts.logits, tape_logits.data)
+        logits = Tensor(acts.logits, requires_grad=True)
+        loss_fn(logits, y).backward()
+        grads, _ = model.backward(acts, logits.grad)
+        if distill:
+            old_logits = Tensor(acts.logits, requires_grad=True)
+            (distill_loss(old_logits[:, : self.OLD], teacher_logits, 2.0) * 0.7).backward()
+            old_grads, _ = model.backward(acts, old_logits.grad)
+            grads = [g + h for g, h in zip(grads, old_grads)]
+
+        assert [g.shape for g in grads] == [p.data.shape for p in model.params()]
+        for got, want in zip(grads, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("old_classes", [0, OLD], ids=["phase_zero", "incremental"])
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_one_pass_split_matches_two_sub_batch_passes(self, variant, old_classes):
+        model, x, y, loss_fn, _ = self._setup(variant)
+        acts = model.forward(x)
+        logits = Tensor(acts.logits, requires_grad=True)
+        loss_fn(logits, y).backward()
+        grads, deltas = model.backward(acts, logits.grad)
+        split = _contribution_sums(grads, acts, deltas, y >= old_classes)
+
+        # reference: each sub-batch's summed loss through its own tape pass
+        for got, rows in zip(split, (y >= old_classes, y < old_classes)):
+            for p in model.params():
+                p.grad = None
+            if rows.any():
+                (loss_fn(_tape_logits(model, x[rows]), y[rows]) * float(rows.sum())).backward()
+                want = _flatten([p.grad for p in model.params()])
+            else:
+                want = np.zeros(got.size)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestTrainPhase:
@@ -234,3 +312,8 @@ class TestTrainConfigValidation:
     def test_bad_momentum_range(self):
         with pytest.raises(ValueError):
             TrainConfig(m=1.5)
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 5.0])
+    def test_sgd_momentum_outside_unit_interval(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(sgd_momentum=momentum)
