@@ -44,8 +44,10 @@ from .tensor import Tensor, ce_with_offset, finite_diff_check, matmul, relu
 from .training import (
     Classifier,
     DivergenceError,
+    FirstPhase,
     TrainConfig,
     distill_loss,
+    first_phase,
     run_experiment,
     train_phase,
 )

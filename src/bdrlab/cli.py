@@ -2,7 +2,11 @@
 
 ``run`` executes every configured (variant, seed) pair, writes one hashed
 JSON report plus CSV traces per run, and prints a tab-separated summary
-line per run. ``sweep`` repeats that across values of one parameter and
+line per run. Phase 0 trains with plain cross-entropy whatever the variant,
+so the stream, phase 0 and the phase-1 curvature are computed once per seed
+and shared by its variants; the first variant's ``wall_time_s`` includes
+them. ``--jobs`` runs seeds in parallel, so workers beyond the number of
+seeds sit idle. ``sweep`` repeats that across values of one parameter and
 aggregates a CSV. ``verify`` runs the oracle battery and exits non-zero on
 any failure.
 """
@@ -25,7 +29,7 @@ from .reporting import (
     write_report,
     write_step_csv,
 )
-from .training import DivergenceError, run_experiment
+from .training import DivergenceError, first_phase, run_experiment
 
 # sweep name -> config attribute (protocol letters follow the benchmark notation)
 SWEEP_PARAMS = {
@@ -50,11 +54,19 @@ def build_stream(cfg: ExperimentConfig, seed):
     return split_phases(data, cfg.initial_classes, cfg.increment, seed=seed)
 
 
-def run_single(cfg: ExperimentConfig, variant, seed, out_dir):
-    """One experiment: train, write report + traces, return the summary."""
+def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
+    """One experiment: train, write report + traces, return the summary.
+
+    ``seed_start`` is a dict shared by the runs of one seed. The first run
+    fills it with the stream and the first phase, so their cost is part of
+    that run's wall time; the others continue from them.
+    """
     started = time.perf_counter()
-    stream = build_stream(cfg, seed)
-    result = run_experiment(stream, cfg.train_config(variant, seed))
+    config = cfg.train_config(variant, seed)
+    if not seed_start:
+        stream = build_stream(cfg, seed)
+        seed_start.update(stream=stream, start=first_phase(stream, config))
+    result = run_experiment(seed_start["stream"], config, seed_start["start"])
     stem = f"{variant}_{seed}"
     records = [row for trace in result.traces for row in trace.rows]
     balance_rows = [row for trace in result.traces for row in trace.balance_rows]
@@ -99,14 +111,23 @@ def _summary_line(summary):
     )
 
 
+def _run_seed(cfg: ExperimentConfig, seed, out_dir):
+    """Every variant of one seed, from one shared first phase."""
+    seed_start = {}
+    return [run_single(cfg, variant, seed, out_dir, seed_start) for variant in cfg.variants]
+
+
 def _execute(cfg: ExperimentConfig, out_dir, jobs):
-    specs = [(variant, seed) for variant in cfg.variants for seed in cfg.seeds]
+    """Run every (variant, seed) pair, one task per seed; summaries come back
+    in (variant, seed) order."""
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_single, cfg, v, s, out_dir) for v, s in specs]
-            return [f.result() for f in futures]
-    return [run_single(cfg, v, s, out_dir) for v, s in specs]
+            futures = [pool.submit(_run_seed, cfg, seed, out_dir) for seed in cfg.seeds]
+            per_seed = [f.result() for f in futures]
+    else:
+        per_seed = [_run_seed(cfg, seed, out_dir) for seed in cfg.seeds]
+    return [runs[i] for i in range(len(cfg.variants)) for runs in per_seed]
 
 
 def _cmd_run(args):

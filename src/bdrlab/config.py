@@ -57,25 +57,11 @@ class ExperimentConfig:
     out: str = "runs"
 
     def train_config(self, variant, seed):
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            sgd_momentum=self.sgd_momentum,
-            seed=int(seed),
-            loss_variant=variant,
-            distill_weight=self.distill_weight,
-            distill_temperature=self.distill_temperature,
-            hidden=self.hidden,
-            memory_mode=self.memory_mode,
-            memory_budget=self.memory_budget,
-            memory_selection=self.memory_selection,
-            m=self.m,
-            m_prime=self.m_prime,
-            beta=self.beta,
-            tau=self.tau,
-            variance_source=self.variance_source,
-        )
+        """The training settings of one (variant, seed) run: every
+        ``TrainConfig`` field this config also has, plus the pair."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name in own}
+        return TrainConfig(**shared, seed=int(seed), loss_variant=variant)
 
     def as_dict(self):
         out = {}
@@ -185,6 +171,13 @@ def validate(cfg: ExperimentConfig):
         raise ConfigError(f"unknown memory selection {cfg.memory_selection!r}")
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"bad value for 'seeds' in [run]: seeds must be non-negative, got {min(cfg.seeds)}")
+    for key, values in (("variants", cfg.variants), ("seeds", cfg.seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1}, key=values.index)
+        if repeated:
+            listed = ", ".join(map(str, repeated))
+            raise ConfigError(f"bad value for '{key}' in [run]: {listed} listed more than once")
     if cfg.dataset_kind != "idx":  # an idx file's class count is known only once it is read
         try:
             phase_sizes(cfg.classes, cfg.initial_classes, cfg.increment)

@@ -14,12 +14,20 @@ The new/old split comes from the classification loss's single backward
 pass: a weight's gradient is a sum of per-row outer products of layer input
 and row delta, so summing over the new-class or old-class rows alone gives
 each contribution (Goodfellow 2015, arXiv:1510.01799).
+
+Phase 0 has no old classes and trains with plain cross-entropy whatever the
+variant, so a run splits in two: ``first_phase`` trains phase 0, fills the
+exemplar memory and estimates phase 1's old-phase curvature, and
+``run_experiment`` continues from copies of that record. The variants of a
+seed share one record; ``bdrlab run`` computes it once per seed and charges
+it to the seed's first variant.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -475,8 +483,38 @@ class RunResult:
     traces: list  # one StepTrace per phase
 
 
-def run_experiment(stream: PhaseStream, config: TrainConfig) -> RunResult:
-    """Execute the full phase loop and assemble the machine-readable report."""
+@dataclass(frozen=True)
+class FirstPhase:
+    """Phase 0 of a run and the phase-1 curvature computed from its model.
+
+    Phase 0 trains with plain cross-entropy whatever the loss variant, so
+    every variant of a seed shares this record. ``run_experiment`` copies
+    the model and the memory out of it and never changes it.
+    """
+
+    config: TrainConfig  # loss_variant normalised to plain cross-entropy
+    model: Classifier
+    memory: ExemplarMemory
+    trace: StepTrace
+    entry: dict  # the phase-0 report entry
+    sigma_max: float | None  # phase 1's old-phase curvature; None with one phase
+
+
+def _phase_entry(stream, t, train_set, accuracy):
+    overall, acc_old, acc_new = accuracy
+    return {
+        "phase": t,
+        "classes_seen": stream.classes_through(t),
+        "train_size": train_set.n,
+        "accuracy": {"overall": overall, "old_group": acc_old, "new_group": acc_new},
+        "destruction": None,
+        "bound": None,
+    }
+
+
+def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
+    """Train phase 0, fill the exemplar memory and take phase 1's curvature."""
+    config = replace(config, loss_variant=LOSS_CE)
     model = Classifier(
         stream.dim, config.hidden, len(stream.class_range(0)), rng_for(config.seed, INIT, 0)
     )
@@ -486,64 +524,79 @@ def run_experiment(stream: PhaseStream, config: TrainConfig) -> RunResult:
         selection=config.memory_selection,
         seed=config.seed,
     )
-    traces = []
-    accuracies = []
-    phase_reports = []
-    for t, phase in enumerate(stream.phases):
-        balance_state = None
-        teacher = None
+    phase = stream.phases[0]
+    model, trace = train_phase(model, phase, config, 0)
+    memory.update(phase, features_of=model.features_np)
+    entry = _phase_entry(stream, 0, phase, _evaluate(model, stream, 0))
+    sigma_max = None
+    if len(stream.phases) > 1:
+        sigma_max = _old_phase_curvature(model.copy(), stream.phases[:1], seed=config.seed)
+    return FirstPhase(config, model, memory, trace, entry, sigma_max)
+
+
+def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase | None = None) -> RunResult:
+    """Execute the full phase loop and assemble the machine-readable report.
+
+    ``start`` is the run's first phase, from ``first_phase`` on the same
+    stream with a config that differs at most in ``loss_variant``; without
+    it the first phase is trained here.
+    """
+    if start is None:
+        start = first_phase(stream, config)
+    differing = [
+        f.name
+        for f in fields(TrainConfig)
+        if f.name != "loss_variant" and getattr(start.config, f.name) != getattr(config, f.name)
+    ]
+    if differing:
+        raise ValueError(f"first phase was built with different settings: {', '.join(differing)}")
+    model = start.model.copy()
+    memory = copy.deepcopy(start.memory)
+    traces = [start.trace]
+    phase_reports = [copy.deepcopy(start.entry)]
+    for t in range(1, len(stream.phases)):
+        phase = stream.phases[t]
         probe = None
-        sigma_max = None
+        balance_state = None
         old_count = stream.classes_before(t)
-        if t == 0:
-            train_set = phase
+        if t == 1:
+            sigma_max = start.sigma_max
         else:
-            curvature_model = model.copy()
-            teacher = model.copy(frozen=True)
-            model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
-            train_set = merged_training_set(memory, phase)
-            if config.loss_variant == LOSS_BDR:
-                acts = model.forward(train_set.features.data)
-                source = acts.features if config.variance_source == "feature" else acts.logits
-                stats = balance.stats_from_pass(source, train_set.labels, model.n_classes)
-                priors = balance.class_priors(np.bincount(train_set.labels, minlength=model.n_classes))
-                schedule = balance.init_schedule(
-                    priors, stats.weights(), config.m, config.m_prime, config.beta, config.tau
-                )
-                balance_state = BalanceState(stats, schedule)
-            if config.distill_weight <= 0:
-                replay = memory.as_labeled_set(old_count)
-                if replay is not None:
-                    probe = (replay.features.data, replay.labels)
-            sigma_max = _old_phase_curvature(curvature_model, stream.phases[:t], seed=config.seed)
+            sigma_max = _old_phase_curvature(model.copy(), stream.phases[:t], seed=config.seed)
+        teacher = model.copy(frozen=True)
+        model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
+        train_set = merged_training_set(memory, phase)
+        if config.loss_variant == LOSS_BDR:
+            acts = model.forward(train_set.features.data)
+            source = acts.features if config.variance_source == "feature" else acts.logits
+            stats = balance.stats_from_pass(source, train_set.labels, model.n_classes)
+            priors = balance.class_priors(np.bincount(train_set.labels, minlength=model.n_classes))
+            schedule = balance.init_schedule(
+                priors, stats.weights(), config.m, config.m_prime, config.beta, config.tau
+            )
+            balance_state = BalanceState(stats, schedule)
+        if config.distill_weight <= 0:
+            replay = memory.as_labeled_set(old_count)
+            if replay is not None:
+                probe = (replay.features.data, replay.labels)
         model, trace = train_phase(
             model, train_set, config, t, balance_state, teacher, old_count, probe
         )
         traces.append(trace)
         memory.update(phase, features_of=model.features_np)
-        overall, acc_old, acc_new = _evaluate(model, stream, t)
-        accuracies.append(overall)
-        entry = {
-            "phase": t,
-            "classes_seen": stream.classes_through(t),
-            "train_size": train_set.n,
-            "accuracy": {"overall": overall, "old_group": acc_old, "new_group": acc_new},
-            "destruction": None,
-            "bound": None,
-        }
-        if t > 0:
-            old_losses = trace.column("loss_old")
-            entry["destruction"] = destruction_report(old_losses, trace.column("epoch")).as_dict()
-            entry["bound"] = bound_report(
-                old_losses,
-                trace.column("grad_total_sq"),
-                trace.column("contrib_inner"),
-                trace.column("batch_size"),
-                config.lr,
-                sigma_max,
-            ).as_dict()
+        entry = _phase_entry(stream, t, train_set, _evaluate(model, stream, t))
+        old_losses = trace.column("loss_old")
+        entry["destruction"] = destruction_report(old_losses, trace.column("epoch")).as_dict()
+        entry["bound"] = bound_report(
+            old_losses,
+            trace.column("grad_total_sq"),
+            trace.column("contrib_inner"),
+            trace.column("batch_size"),
+            config.lr,
+            sigma_max,
+        ).as_dict()
         phase_reports.append(entry)
-    avg, last = metrics(accuracies)
+    avg, last = metrics([entry["accuracy"]["overall"] for entry in phase_reports])
     report = {
         "schema_version": 1,
         "variant": config.loss_variant,

@@ -15,7 +15,7 @@ import pytest
 from bdrlab.cli import build_stream, main
 from bdrlab.config import ExperimentConfig
 from bdrlab.reporting import read_report
-from bdrlab.training import run_experiment
+from bdrlab.training import first_phase, run_experiment
 from bdrlab import verification
 
 SEEDS = tuple(range(5))
@@ -26,13 +26,19 @@ SEEDS = tuple(range(5))
 BENCHMARK = ExperimentConfig(tau=2.0)
 
 _RESULT_CACHE = {}
+_FIRST_PHASE_CACHE = {}
 
 
 def _run(cfg, variant, seed):
+    """One run, continued from the first phase shared by the seed's variants,
+    as ``bdrlab run`` does."""
     key = (cfg, variant, seed)
     if key not in _RESULT_CACHE:
-        stream = build_stream(cfg, seed)
-        _RESULT_CACHE[key] = run_experiment(stream, cfg.train_config(variant, seed))
+        if (cfg, seed) not in _FIRST_PHASE_CACHE:
+            stream = build_stream(cfg, seed)
+            _FIRST_PHASE_CACHE[(cfg, seed)] = (stream, first_phase(stream, cfg.train_config(variant, seed)))
+        stream, start = _FIRST_PHASE_CACHE[(cfg, seed)]
+        _RESULT_CACHE[key] = run_experiment(stream, cfg.train_config(variant, seed), start)
     return _RESULT_CACHE[key]
 
 

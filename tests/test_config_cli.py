@@ -93,16 +93,24 @@ class TestCmdRun:
             hashes.append(doc["body_sha256"])
         assert hashes[0] == hashes[1]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         config_path = tmp_path / "exp.cfg"
-        config_path.write_text(SMALL_CONFIG.replace("seeds = 0", "seeds = 0, 1"))
+        config_path.write_text(
+            SMALL_CONFIG.replace("seeds = 0", "seeds = 0, 1").replace("variants = ce, bdr", "variants = ce, cr, bdr")
+        )
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert main(["run", str(config_path), "--out", str(serial)]) == 0
+        serial_lines = capsys.readouterr().out.splitlines()
         assert main(["run", str(config_path), "--out", str(parallel), "--jobs", "2"]) == 0
-        for name in ("ce_0.json", "ce_1.json", "bdr_0.json", "bdr_1.json"):
-            a = read_report(serial / name)["body_sha256"]
-            b = read_report(parallel / name)["body_sha256"]
+        parallel_lines = capsys.readouterr().out.splitlines()
+        pairs = [(v, s) for v in ("ce", "cr", "bdr") for s in (0, 1)]
+        for variant, seed in pairs:
+            a = read_report(serial / f"{variant}_{seed}.json")["body_sha256"]
+            b = read_report(parallel / f"{variant}_{seed}.json")["body_sha256"]
             assert a == b
+        # one line per pair, in (variant, seed) order, whatever the job count
+        assert [tuple(line.split("\t")[:2]) for line in serial_lines] == [(v, str(s)) for v, s in pairs]
+        assert parallel_lines == serial_lines
 
     def test_missing_config_errors(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
@@ -173,8 +181,18 @@ class TestConfigErrorsAtParseTime:
                 {"classes = 4": "classes = 8", "initial_classes = 2": "initial_classes = 4", "increment = 2": "increment = 3"},
                 "'increment'",
             ),
+            ({"seeds = 0": "seeds = -1"}, "'seeds' in [run]"),
+            ({"seeds = 0": "seeds = 0, 1, 0"}, "'seeds' in [run]"),
+            ({"variants = ce, bdr": "variants = ce, ce"}, "'variants' in [run]"),
         ],
-        ids=["negative_lr", "momentum_above_one", "indivisible_increment"],
+        ids=[
+            "negative_lr",
+            "momentum_above_one",
+            "indivisible_increment",
+            "negative_seed",
+            "duplicate_seed",
+            "duplicate_variant",
+        ],
     )
     def test_run_rejects(self, tmp_path, capsys, edits, key):
         text = SMALL_CONFIG
@@ -201,6 +219,24 @@ class TestConfigErrorsAtParseTime:
         assert main(["sweep", str(config_path), "--param", param, "--values", f"{good},{bad}", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{param}={bad}" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (("seeds = 0", "seeds = -1"), "'seeds'"),
+            (("seeds = 0", "seeds = 0, 0"), "'seeds'"),
+            (("variants = ce, bdr", "variants = bdr, ce, bdr"), "'variants'"),
+        ],
+        ids=["negative_seed", "duplicate_seed", "duplicate_variant"],
+    )
+    def test_sweep_rejects_bad_run_list(self, tmp_path, capsys, edit, key):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG.replace(*edit))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config_path), "--param", "m", "--values", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} in [run]" in err
         assert not out.exists()
 
 

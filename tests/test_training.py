@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bdrlab.training import (
     _flatten,
     _variant_loss_fn,
     distill_loss,
+    first_phase,
     run_experiment,
     train_phase,
 )
@@ -298,6 +301,59 @@ class TestRunExperiment:
         assert classes == set(range(4))
         psi = np.array([r[2] for r in rows if r[0] == min(steps)])
         assert psi.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _trace_rows(result):
+    return [(list(t.rows), list(t.balance_rows)) for t in result.traces]
+
+
+class TestSharedFirstPhase:
+    # the variants of a seed continue from one first phase exactly as if each
+    # had trained phase 0 itself
+
+    def test_continuation_matches_full_run(self):
+        stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=12), 2, 2, seed=12)
+        start = first_phase(stream, small_config(loss_variant="bdr"))
+        for variant in LOSS_VARIANTS:
+            config = small_config(loss_variant=variant)
+            shared = run_experiment(stream, config, start)
+            alone = run_experiment(stream, config)
+            assert shared.report == alone.report
+            assert _trace_rows(shared) == _trace_rows(alone)
+
+    def test_record_is_not_mutated(self):
+        stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=13), 2, 2, seed=13)
+        start = first_phase(stream, small_config())
+        first = run_experiment(stream, small_config(loss_variant="ce"), start)
+        for variant in ("cr", "bdr", "reweight"):
+            run_experiment(stream, small_config(loss_variant=variant), start)
+        again = run_experiment(stream, small_config(loss_variant="ce"), start)
+        assert again.report == first.report
+        assert _trace_rows(again) == _trace_rows(first)
+
+    @pytest.mark.parametrize("change", [{"lr": 0.04}, {"seed": 1}])
+    def test_mismatched_record_rejected(self, change):
+        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=14), 2, 2, seed=14)
+        start = first_phase(stream, small_config(**change))
+        name = next(iter(change))
+        with pytest.raises(ValueError, match=name):
+            run_experiment(stream, small_config(loss_variant="bdr"), start)
+
+    def test_loss_variant_is_normalised(self):
+        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=15), 2, 2, seed=15)
+        start = first_phase(stream, small_config(loss_variant="bdr"))
+        assert start.config == replace(small_config(), loss_variant="ce")
+        assert start.sigma_max is not None
+
+    def test_single_phase_stream(self):
+        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=16), 4, 1, seed=16)
+        start = first_phase(stream, small_config())
+        assert start.sigma_max is None
+        shared = run_experiment(stream, small_config(loss_variant="bdr"), start)
+        alone = run_experiment(stream, small_config(loss_variant="bdr"))
+        assert shared.report == alone.report
+        assert len(shared.report["phases"]) == 1
+        assert shared.report["variant"] == "bdr"
 
 
 class TestTrainConfigValidation:
