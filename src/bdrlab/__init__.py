@@ -1,9 +1,11 @@
 """Desk-scale laboratory for memory-replay class-incremental learning.
 
-A minimal autodiff engine, phase-protocol datasets, bounded exemplar replay,
-class-balancing logit offsets with momentum-tracked training status, an
-incremental trainer, and diagnostics for the destruction-reconstruction
-dynamics of old knowledge.
+Phase-protocol datasets, bounded exemplar replay, class-balancing logit
+offsets with momentum-tracked training status, closed-form loss heads that
+return their gradient at the logits, an incremental trainer over a numpy
+ReLU classifier, and diagnostics for the destruction-reconstruction dynamics
+of old knowledge. ``bdrlab.tensor`` is a small reverse-mode tape kept as the
+independent reference for those gradients.
 """
 
 from .balance import (
@@ -11,6 +13,7 @@ from .balance import (
     OffsetSchedule,
     bal_ce_loss,
     bdr_loss,
+    ce_with_offset,
     class_priors,
     compensation,
     init_schedule,
@@ -18,6 +21,7 @@ from .balance import (
     momentum_update,
     offsets,
     scalar_variance,
+    weighted_ce,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from .data import (
@@ -40,7 +44,7 @@ from .diagnostics import (
     old_loss_distribution,
 )
 from .memory import ExemplarMemory, MemoryConfigError, herding_select, merged_training_set
-from .tensor import Tensor, ce_with_offset, finite_diff_check, matmul, relu
+from .tensor import Tensor, finite_diff_check, matmul, relu, value_and_grad
 from .training import (
     Classifier,
     DivergenceError,

@@ -8,6 +8,10 @@ added to the logits, throttles the gradient pull of classes that are ahead
 decision boundaries, without the over-correction a pure frequency prior
 causes.
 
+The loss heads are closed-form: each returns the batch-mean loss and its
+gradient at the logits, ``softmax(logits + offsets) - onehot`` over the
+batch size for the offset cross-entropy that ce, cr and bdr train with.
+
 Conventions fixed here:
   * intra-class variance reduces to one scalar per class by averaging the
     per-dimension variances;
@@ -24,9 +28,74 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .tensor import Tensor, ce_with_offset
-
 VARIANCE_FLOOR = 1e-8
+
+
+def log_softmax(z):
+    """Row-wise log-softmax of a 2-D numpy array, stabilised by max-subtraction."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def checked_logits(logits):
+    """The logits as a float64 matrix; a non-finite logit raises ``FloatingPointError``."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] == 0:
+        raise ValueError(f"logits must be a non-empty batch x classes matrix, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite logit")
+    return z
+
+
+def _checked_labels(labels, n, k):
+    y = np.asarray(labels)
+    if y.shape != (n,):
+        raise ValueError(f"labels shape {y.shape} does not match batch size {n}")
+    y = y.astype(np.int64)
+    if y.min() < 0 or y.max() >= k:
+        bad = int(y[(y < 0) | (y >= k)][0])
+        raise IndexError(f"label {bad} out of range for {k} classes")
+    return y
+
+
+def ce_with_offset(logits, offsets, labels):
+    """Mean cross-entropy of softmax(logits + offsets) against integer labels.
+
+    Returns ``(loss, dlogits)``. Offsets enter as per-class constants, so
+    the gradient is taken at the logits only. Strongly negative offsets stay
+    exact thanks to the max-subtraction in ``log_softmax``.
+    """
+    z = checked_logits(logits)
+    n, k = z.shape
+    off = np.asarray(offsets, dtype=np.float64)
+    if off.shape != (k,):
+        raise ValueError(f"offsets shape {off.shape} does not match {k} classes")
+    if not np.all(np.isfinite(off)):
+        raise FloatingPointError("non-finite offset")
+    y = _checked_labels(labels, n, k)
+    logp = log_softmax(z + off)
+    rows = np.arange(n)
+    grad = np.exp(logp)
+    grad[rows, y] -= 1.0
+    grad *= 1.0 / n
+    return float(-logp[rows, y].mean()), grad
+
+
+def weighted_ce(logits, labels, sample_weights):
+    """Cross-entropy with a fixed non-negative weight per sample, averaged
+    over the batch; returns ``(loss, dlogits)``."""
+    z = checked_logits(logits)
+    n, k = z.shape
+    w = np.asarray(sample_weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
+    y = _checked_labels(labels, n, k)
+    logp = log_softmax(z)
+    rows = np.arange(n)
+    grad = np.exp(logp)
+    grad[rows, y] -= 1.0
+    grad *= (w * (1.0 / n))[:, None]
+    return float((w * -logp[rows, y]).mean()), grad
 
 
 def class_priors(counts):
@@ -178,16 +247,18 @@ def offsets(schedule: OffsetSchedule):
     return schedule.tau * np.log(p)
 
 
-def bdr_loss(logits: Tensor, labels, schedule: OffsetSchedule):
-    """Cross-entropy on logits shifted by the schedule's current offsets."""
-    k = logits.data.shape[1]
+def bdr_loss(logits, labels, schedule: OffsetSchedule):
+    """Cross-entropy on logits shifted by the schedule's current offsets;
+    returns ``(loss, dlogits)``."""
+    k = np.shape(logits)[1]
     if schedule.pi_hat.size != k:
         raise ValueError(f"schedule covers {schedule.pi_hat.size} classes but logits have {k}")
     return ce_with_offset(logits, offsets(schedule), labels)
 
 
-def bal_ce_loss(logits: Tensor, labels, priors, tau=1.0):
-    """Constant-rebalancing baseline: cross-entropy shifted by tau * log priors."""
+def bal_ce_loss(logits, labels, priors, tau=1.0):
+    """Constant-rebalancing baseline: cross-entropy shifted by tau * log
+    priors; returns ``(loss, dlogits)``."""
     p = np.asarray(priors, dtype=np.float64)
     if np.any(p <= 0.0):
         raise ValueError("priors must be strictly positive")

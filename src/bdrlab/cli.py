@@ -20,8 +20,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig, load_config, validate
-from .data import load_idx, make_gaussian_mixture, make_rings, split_phases
+from .config import ConfigError, ExperimentConfig, load_config, protocol_error, validate
+from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, split_phases
 from .reporting import (
     atomic_write_text,
     write_balance_csv,
@@ -219,6 +219,12 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ProtocolError as exc:  # an idx dataset's class count is known only once it is read
+        print(f"config error: {protocol_error(exc)}", file=sys.stderr)
+        return 2
+    except IdxFormatError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

@@ -155,6 +155,11 @@ _KEY_OF = {attr: (section, key) for section, keys in _SCHEMA.items() for key, (a
 _KEY_OF["loss_variant"] = ("run", "variants")
 
 
+def protocol_error(exc: ProtocolError):
+    """The config error for a class count the protocol cannot split."""
+    return ConfigError(f"bad value for 'initial_classes' or 'increment' in [protocol]: {exc}")
+
+
 def validate(cfg: ExperimentConfig):
     """Reject a config that could not run, naming the offending key.
 
@@ -182,7 +187,7 @@ def validate(cfg: ExperimentConfig):
         try:
             phase_sizes(cfg.classes, cfg.initial_classes, cfg.increment)
         except ProtocolError as exc:
-            raise ConfigError(f"bad value for 'initial_classes' or 'increment' in [protocol]: {exc}") from exc
+            raise protocol_error(exc) from exc
     for variant in cfg.variants:
         try:
             cfg.train_config(variant, cfg.seeds[0])

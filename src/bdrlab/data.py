@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .seeding import DATA, SPLIT, rng_for
-from .tensor import Tensor
 
 TEST_FRACTION = 1.0 / 6.0
 
@@ -35,29 +34,30 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature matrix plus integer class labels in [0, class_count)."""
+    """Float64 feature matrix plus integer class labels in [0, class_count)."""
 
-    features: Tensor
+    features: np.ndarray
     labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        if self.features.data.ndim != 2 or self.features.data.shape[0] == 0:
-            raise ValueError(f"features must be a non-empty N x d matrix, got shape {self.features.data.shape}")
-        if self.labels.shape != (self.features.data.shape[0],):
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
+        if self.features.ndim != 2 or self.features.shape[0] == 0:
+            raise ValueError(f"features must be a non-empty N x d matrix, got shape {self.features.shape}")
+        if self.labels.shape != (self.features.shape[0],):
             raise ValueError(
-                f"labels shape {self.labels.shape} does not match {self.features.data.shape[0]} samples"
+                f"labels shape {self.labels.shape} does not match {self.features.shape[0]} samples"
             )
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise ValueError(f"labels must lie in [0, {self.class_count})")
 
     @property
     def n(self):
-        return self.features.data.shape[0]
+        return self.features.shape[0]
 
     @property
     def dim(self):
-        return self.features.data.shape[1]
+        return self.features.shape[1]
 
     def indices_of_class(self, label):
         return np.flatnonzero(self.labels == label)
@@ -76,9 +76,9 @@ def concat_sets(sets):
     dims = {s.dim for s in sets}
     if len(dims) != 1:
         raise ValueError(f"feature dimension mismatch across sets: {sorted(dims)}")
-    feats = np.concatenate([s.features.data for s in sets], axis=0)
+    feats = np.concatenate([s.features for s in sets], axis=0)
     labels = np.concatenate([s.labels for s in sets])
-    return LabeledSet(Tensor(feats), labels, max(s.class_count for s in sets))
+    return LabeledSet(feats, labels, max(s.class_count for s in sets))
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def make_gaussian_mixture(classes, per_class, dim, separation, seed=0):
         [means[k] + rng.standard_normal((per_class, dim)) for k in range(classes)], axis=0
     )
     labels = np.repeat(np.arange(classes), per_class)
-    return LabeledSet(Tensor(feats), labels, classes)
+    return LabeledSet(feats, labels, classes)
 
 
 def make_rings(classes, per_class, noise, seed=0):
@@ -150,7 +150,7 @@ def make_rings(classes, per_class, noise, seed=0):
         parts.append(np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1))
     feats = np.concatenate(parts, axis=0)
     labels = np.repeat(np.arange(classes), per_class)
-    return LabeledSet(Tensor(feats), labels, classes)
+    return LabeledSet(feats, labels, classes)
 
 
 def _read_idx(path, magic_wanted, header_fmt):
@@ -187,7 +187,7 @@ def load_idx(images_path, labels_path):
         )
     labels = np.frombuffer(lblob, np.uint8, offset=loff).astype(np.int64)
     feats = pixels.astype(np.float64) / 255.0
-    return LabeledSet(Tensor(feats), labels, int(labels.max()) + 1)
+    return LabeledSet(feats, labels, int(labels.max()) + 1)
 
 
 def phase_sizes(total, initial_classes, increment):
@@ -225,13 +225,13 @@ def split_phases(data, initial_classes, increment, seed=0, test_fraction=TEST_FR
                 n_test = max(1, int(idx.size * test_fraction))
             else:
                 n_test = 0
-            test_rows.append(data.features.data[idx[:n_test]])
+            test_rows.append(data.features[idx[:n_test]])
             test_labels.append(np.full(n_test, slot, dtype=np.int64))
-            train_rows.append(data.features.data[idx[n_test:]])
+            train_rows.append(data.features[idx[n_test:]])
             train_labels.append(np.full(idx.size - n_test, slot, dtype=np.int64))
         seen = position + size
         train_phases.append(
-            LabeledSet(Tensor(np.concatenate(train_rows)), np.concatenate(train_labels), seen)
+            LabeledSet(np.concatenate(train_rows), np.concatenate(train_labels), seen)
         )
         test_feats = np.concatenate([r for r in test_rows if len(r)]) if any(len(r) for r in test_rows) else None
         if test_feats is None:
@@ -239,7 +239,7 @@ def split_phases(data, initial_classes, increment, seed=0, test_fraction=TEST_FR
             test_phases.append(train_phases[-1])
         else:
             test_phases.append(
-                LabeledSet(Tensor(test_feats), np.concatenate(test_labels), seen)
+                LabeledSet(test_feats, np.concatenate(test_labels), seen)
             )
         position = seen
     return PhaseStream(

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 def f_max(old_loss_trace):
     """Peak of the trace minus its first value, and the index of the peak."""
@@ -125,31 +123,21 @@ def destruction_report(old_losses, epochs):
     )
 
 
-def grad_oracle(loss_fn):
-    """Wrap a Tensor -> scalar-Tensor loss as a flat-gradient function."""
-
-    def grad(vec):
-        leaf = Tensor(np.asarray(vec, dtype=np.float64).copy(), requires_grad=True)
-        loss_fn(leaf).backward()
-        if leaf.grad is None:
-            return np.zeros_like(leaf.data)
-        return leaf.grad.copy()
-
-    return grad
-
-
 def hessian_top_eigen(grad_fn, theta, iters=200, tol=1e-3, fd_step=1e-4, seed=0):
     """Dominant curvature at ``theta`` by power iteration on Hessian-vector
     products taken as central finite differences of ``grad_fn``.
 
     Converged once successive Rayleigh quotients differ by less than ``tol``;
-    otherwise warns and returns the last estimate.
+    otherwise warns and returns the last estimate. The warning names the
+    estimate and its last change, so each non-converged estimate prints
+    under Python's default once-per-text filter.
     """
     theta = np.asarray(theta, dtype=np.float64).ravel()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(theta.size)
     v /= np.linalg.norm(v)
     rayleigh = None
+    change = float("nan")
     for _ in range(iters):
         hv = (grad_fn(theta + fd_step * v) - grad_fn(theta - fd_step * v)) / (2.0 * fd_step)
         current = float(v @ hv)
@@ -157,11 +145,14 @@ def hessian_top_eigen(grad_fn, theta, iters=200, tol=1e-3, fd_step=1e-4, seed=0)
         if norm == 0.0:
             return 0.0
         v = hv / norm
-        if rayleigh is not None and abs(current - rayleigh) < tol:
-            return current
+        if rayleigh is not None:
+            change = abs(current - rayleigh)
+            if change < tol:
+                return current
         rayleigh = current
     warnings.warn(
-        f"power iteration did not converge within {iters} iterations; returning last estimate",
+        f"power iteration did not converge within {iters} iterations; returning last estimate "
+        f"{rayleigh!r} (last change {change:.3e}, tolerance {tol:.0e})",
         RuntimeWarning,
     )
     return rayleigh

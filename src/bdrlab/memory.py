@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import LabeledSet, Tensor
+from .data import LabeledSet
 from .seeding import SELECT, rng_for
 
 PER_CLASS = "per_class"
@@ -117,7 +117,7 @@ class ExemplarMemory:
                 )
         for label in new_classes:
             idx = phase_data.indices_of_class(label)
-            rows = phase_data.features.data[idx]
+            rows = phase_data.features[idx]
             take = min(quota, idx.size)
             if self.selection == HERDING:
                 order = herding_select(features_of(rows), take)
@@ -141,7 +141,7 @@ class ExemplarMemory:
             store = self._store[label]
             rows.append(store.rows)
             labels.append(np.full(store.rows.shape[0], label, dtype=np.int64))
-        return LabeledSet(Tensor(np.concatenate(rows)), np.concatenate(labels), class_count)
+        return LabeledSet(np.concatenate(rows), np.concatenate(labels), class_count)
 
 
 def merged_training_set(memory: ExemplarMemory, phase_data: LabeledSet) -> LabeledSet:
@@ -152,7 +152,7 @@ def merged_training_set(memory: ExemplarMemory, phase_data: LabeledSet) -> Label
         return phase_data
     if replay.dim != phase_data.dim:
         raise ValueError(f"feature dimension mismatch: memory {replay.dim} vs phase {phase_data.dim}")
-    feats = np.concatenate([replay.features.data, phase_data.features.data])
+    feats = np.concatenate([replay.features, phase_data.features])
     labels = np.concatenate([replay.labels, phase_data.labels])
     count = max(phase_data.class_count, int(labels.max()) + 1)
-    return LabeledSet(Tensor(feats), labels, count)
+    return LabeledSet(feats, labels, count)

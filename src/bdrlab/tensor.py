@@ -1,28 +1,23 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: just the primitives a feed-forward softmax classifier
-and its loss variants need, on top of numpy arrays. Everything is 64-bit.
-The tape is the implicit operation graph each result carries; ``backward``
+The independent reference for the closed-form gradients the package trains
+with: the tests build the classifier on this tape and compare
+``Classifier.backward`` against it bit for bit, and the verify battery
+differentiates its quadratic toys here. It keeps only the primitives those
+uses need: ``matmul``, ``relu``, ``+``, ``*``, ``sum`` and ``mean``. The
+tape is the implicit operation graph each result carries; ``backward``
 replays it in topological order, so an operation's inputs always receive
 their adjoints after every use has contributed. Gradients accumulate into
 ``grad`` across backward calls until the caller resets them, so repeated
-backward passes sum.
+backward passes sum. ``finite_diff_check`` compares any gradient,
+closed-form or taped, against central differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "matmul",
-    "relu",
-    "ce_with_offset",
-    "weighted_ce",
-    "kl_to_softmax",
-    "log_softmax",
-    "finite_diff_check",
-]
+__all__ = ["Tensor", "matmul", "relu", "value_and_grad", "finite_diff_check"]
 
 
 def _as_tensor(value):
@@ -77,24 +72,6 @@ class Tensor:
             out._vjp = vjp
         return out
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
-
     def backward(self):
         """Accumulate d(self)/d(x) into ``grad`` of every participating tensor."""
         if self.data.size != 1:
@@ -129,25 +106,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        src = self
-
-        def vjp(g):
-            return (-g,)
-
-        return Tensor._from_op(-src.data, (src,), vjp)
-
-    def __sub__(self, other):
-        a, b = self, _as_tensor(other)
-
-        def vjp(g):
-            return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-        return Tensor._from_op(a.data - b.data, (a, b), vjp)
-
-    def __rsub__(self, other):
-        return _as_tensor(other) - self
-
     def __mul__(self, other):
         a, b = self, _as_tensor(other)
 
@@ -157,24 +115,6 @@ class Tensor:
         return Tensor._from_op(a.data * b.data, (a, b), vjp)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return self * (1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        src = self
-
-        def vjp(g):
-            buf = np.zeros_like(src.data)
-            np.add.at(buf, key, g)
-            return (buf,)
-
-        return Tensor._from_op(np.array(src.data[key]), (src,), vjp)
 
     def sum(self):
         src = self
@@ -216,134 +156,48 @@ def relu(x):
     return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), vjp)
 
 
-def log_softmax(z):
-    """Row-wise log-softmax of a 2-D numpy array, stabilised by max-subtraction."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def value_and_grad(f):
+    """``f``, a map from a leaf Tensor to a scalar Tensor on the tape, as a
+    map from an array to ``(value, gradient)`` for ``finite_diff_check``."""
 
+    def wrapped(x):
+        leaf = Tensor(x, requires_grad=True)
+        out = f(leaf)
+        if not isinstance(out, Tensor) or out.data.size != 1:
+            raise ValueError("f must return a scalar tensor")
+        out.backward()
+        return float(out.data), leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
 
-def _checked_logits(logits):
-    logits = _as_tensor(logits)
-    z = logits.data
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise ValueError(f"logits must be a non-empty batch x classes matrix, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite logit")
-    return logits, z
-
-
-def _checked_labels(labels, n, k):
-    y = np.asarray(labels)
-    if y.shape != (n,):
-        raise ValueError(f"labels shape {y.shape} does not match batch size {n}")
-    y = y.astype(np.int64)
-    if y.min() < 0 or y.max() >= k:
-        bad = int(y[(y < 0) | (y >= k)][0])
-        raise IndexError(f"label {bad} out of range for {k} classes")
-    return y
-
-
-def ce_with_offset(logits, offsets, labels):
-    """Mean cross-entropy of softmax(logits + offsets) against integer labels.
-
-    Offsets enter as per-class constants: gradients flow to the logits only.
-    Strongly negative offsets stay exact thanks to the max-subtraction in
-    ``log_softmax``.
-    """
-    logits, z = _checked_logits(logits)
-    n, k = z.shape
-    off = np.asarray(offsets, dtype=np.float64)
-    if off.shape != (k,):
-        raise ValueError(f"offsets shape {off.shape} does not match {k} classes")
-    if not np.all(np.isfinite(off)):
-        raise FloatingPointError("non-finite offset")
-    y = _checked_labels(labels, n, k)
-    logp = log_softmax(z + off)
-    rows = np.arange(n)
-    prob = np.exp(logp)
-
-    def vjp(g):
-        grad = prob.copy()
-        grad[rows, y] -= 1.0
-        grad *= float(g) / n
-        return (grad,)
-
-    return Tensor._from_op(np.asarray(-logp[rows, y].mean()), (logits,), vjp)
-
-
-def weighted_ce(logits, labels, sample_weights):
-    """Cross-entropy with a fixed non-negative weight per sample, averaged
-    over the batch."""
-    logits, z = _checked_logits(logits)
-    n, k = z.shape
-    w = np.asarray(sample_weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
-    y = _checked_labels(labels, n, k)
-    logp = log_softmax(z)
-    rows = np.arange(n)
-    prob = np.exp(logp)
-
-    def vjp(g):
-        grad = prob.copy()
-        grad[rows, y] -= 1.0
-        grad *= (w * (float(g) / n))[:, None]
-        return (grad,)
-
-    return Tensor._from_op(np.asarray((w * -logp[rows, y]).mean()), (logits,), vjp)
-
-
-def kl_to_softmax(logits, target_logp):
-    """Mean KL(target || softmax(logits)) over the batch.
-
-    Targets are given as log-probabilities so that bitwise-identical inputs
-    produce an exact zero.
-    """
-    logits, z = _checked_logits(logits)
-    n, k = z.shape
-    tl = np.asarray(target_logp, dtype=np.float64)
-    if tl.shape != (n, k):
-        raise ValueError(f"target shape {tl.shape} does not match logits shape {(n, k)}")
-    t = np.exp(tl)
-    logp = log_softmax(z)
-    kl = (t * (tl - logp)).sum(axis=1)
-    prob = np.exp(logp)
-
-    def vjp(g):
-        return ((prob - t) * (float(g) / n),)
-
-    return Tensor._from_op(np.asarray(kl.mean()), (logits,), vjp)
+    return wrapped
 
 
 def finite_diff_check(f, x, step=1e-5):
-    """Worst relative disagreement between the backward-pass gradient of the
-    scalar function ``f`` at ``x`` and central finite differences.
+    """Worst relative disagreement between the gradient ``f`` reports at
+    ``x`` and central finite differences of its value.
 
-    Relative error per coordinate is floored at 1e-8 in the denominator, so
-    a constant function scores exactly 0.
+    ``f`` maps a float64 array to ``(value, gradient)``: a closed-form loss
+    head, or a tape function through ``value_and_grad``. Relative error per
+    coordinate is floored at 1e-8 in the denominator, so a constant function
+    scores exactly 0.
     """
-    x = _as_tensor(x)
-    leaf = Tensor(x.data.copy(), requires_grad=True)
-    out = f(leaf)
-    if not isinstance(out, Tensor) or out.data.size != 1:
-        raise ValueError("f must return a scalar tensor")
-    if not np.isfinite(out.data).all():
+    x = np.array(x, dtype=np.float64)
+    value, grad = f(x.copy())
+    if not np.isfinite(value):
         raise FloatingPointError("f(x) is not finite")
-    out.backward()
-    grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    autodiff = grad.ravel().copy()
-    flat = leaf.data.ravel()
-    numeric = np.zeros_like(autodiff)
-    probe = Tensor(leaf.data)
+    analytic = np.array(grad, dtype=np.float64).ravel()
+    if analytic.size != x.size:
+        raise ValueError(f"gradient has {analytic.size} entries for {x.size} inputs")
+    flat = x.ravel()
+    numeric = np.zeros_like(analytic)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = float(f(probe).data)
+        hi = f(x)[0]
         flat[i] = orig - step
-        lo = float(f(probe).data)
+        lo = f(x)[0]
         flat[i] = orig
         numeric[i] = (hi - lo) / (2.0 * step)
-    if autodiff.size == 0:
+    if analytic.size == 0:
         return 0.0
-    scale = np.maximum(np.maximum(np.abs(autodiff), np.abs(numeric)), 1e-8)
-    return float((np.abs(autodiff - numeric) / scale).max())
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / scale).max())

@@ -7,13 +7,14 @@ temperature-softened consolidation term against the frozen previous model.
 Every step also records the gradient decomposition into new-class and
 old-class contribution sums, which feeds the destruction diagnostics.
 
-The classifier runs its own numpy forward and backward pass; the autodiff
-tape of ``tensor`` only differentiates the loss heads, on a leaf over the
-logits. A step is one forward pass plus one backward pass per loss term.
-The new/old split comes from the classification loss's single backward
-pass: a weight's gradient is a sum of per-row outer products of layer input
-and row delta, so summing over the new-class or old-class rows alone gives
-each contribution (Goodfellow 2015, arXiv:1510.01799).
+The classifier runs its own numpy forward and backward pass over plain
+float64 arrays. Every loss head is closed-form: it returns the loss and its
+gradient at the logits, which goes straight into ``Classifier.backward``.
+A step is one forward pass plus one backward pass per loss term. The
+new/old split comes from the classification loss's single backward pass:
+a weight's gradient is a sum of per-row outer products of layer input and
+row delta, so summing over the new-class or old-class rows alone gives each
+contribution (Goodfellow 2015, arXiv:1510.01799).
 
 Phase 0 has no old classes and trains with plain cross-entropy whatever the
 variant, so a run splits in two: ``first_phase`` trains phase 0, fills the
@@ -33,11 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import balance
+from .balance import ce_with_offset, checked_logits, log_softmax, weighted_ce
 from .data import LabeledSet, PhaseStream, concat_sets
 from .diagnostics import bound_report, destruction_report, hessian_top_eigen, metrics
 from .memory import ExemplarMemory, merged_training_set
 from .seeding import BATCH, INIT, rng_for
-from .tensor import Tensor, ce_with_offset, kl_to_softmax, log_softmax, weighted_ce
 
 LOSS_CE = "ce"
 LOSS_CR = "cr"
@@ -131,20 +132,18 @@ class Classifier:
         self.layers = []
         fan_in = self.in_dim
         for width in self.hidden_sizes:
-            w = Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)), requires_grad=True)
-            b = Tensor(np.zeros(width), requires_grad=True)
-            self.layers.append((w, b))
+            self.layers.append((rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)), np.zeros(width)))
             fan_in = width
-        self.head_w = Tensor(rng.normal(0.0, HEAD_INIT_SCALE, (fan_in, n_classes)), requires_grad=True)
-        self.head_b = Tensor(np.zeros(n_classes), requires_grad=True)
+        self.head_w = rng.normal(0.0, HEAD_INIT_SCALE, (fan_in, n_classes))
+        self.head_b = np.zeros(n_classes)
 
     @property
     def n_classes(self):
-        return self.head_w.data.shape[1]
+        return self.head_w.shape[1]
 
     @property
     def feature_dim(self):
-        return self.head_w.data.shape[0]
+        return self.head_w.shape[0]
 
     def params(self):
         out = []
@@ -159,12 +158,12 @@ class Classifier:
         inputs, masks = [], []
         for w, b in self.layers:
             inputs.append(h)
-            a = h @ w.data + b.data
+            a = h @ w + b
             mask = a > 0.0  # subgradient at exactly 0 is 0
             masks.append(mask)
             h = np.where(mask, a, 0.0)
         inputs.append(h)
-        return Activations(inputs, masks, h @ self.head_w.data + self.head_b.data)
+        return Activations(inputs, masks, h @ self.head_w + self.head_b)
 
     def backward(self, acts, dlogits):
         """Gradients of a loss whose gradient at the logits is ``dlogits``.
@@ -172,7 +171,8 @@ class Classifier:
         Returns the parameter gradients in ``params()`` order and, per layer
         (head last), the row deltas: the loss gradient at that layer's
         pre-activation, one row per sample. The numpy operations and their
-        order are the tape's, so the gradients equal its bit for bit.
+        order are those of the reference tape in ``tensor``, so the
+        gradients equal its bit for bit.
         """
         weights = [w for w, _ in self.layers] + [self.head_w]
         grads, deltas = [], []
@@ -181,7 +181,7 @@ class Classifier:
             deltas.append(g)
             grads += (g.sum(axis=0), acts.inputs[i].T @ g)
             if i > 0:
-                g = (g @ weights[i].data.T) * acts.masks[i - 1]
+                g = (g @ weights[i].T) * acts.masks[i - 1]
         return grads[::-1], deltas[::-1]
 
     def features_np(self, x):
@@ -197,29 +197,16 @@ class Classifier:
         """Top-1 accuracy in percent on raw logits (no training-time offsets)."""
         return 100.0 * float(np.mean(self.predict(x) == np.asarray(labels)))
 
-    def copy(self, frozen=False):
-        clone = Classifier.__new__(Classifier)
-        clone.in_dim = self.in_dim
-        clone.hidden_sizes = self.hidden_sizes
-        clone.layers = [
-            (Tensor(w.data.copy(), requires_grad=not frozen), Tensor(b.data.copy(), requires_grad=not frozen))
-            for w, b in self.layers
-        ]
-        clone.head_w = Tensor(self.head_w.data.copy(), requires_grad=not frozen)
-        clone.head_b = Tensor(self.head_b.data.copy(), requires_grad=not frozen)
-        return clone
+    def copy(self):
+        return copy.deepcopy(self)
 
     def expand_head(self, extra_classes, rng):
         """Append columns for new classes; existing rows stay bit-identical."""
         if extra_classes < 1:
             raise ValueError(f"head must grow by at least one class, got {extra_classes}")
         new_w = rng.normal(0.0, HEAD_INIT_SCALE, (self.feature_dim, extra_classes))
-        self.head_w = Tensor(
-            np.concatenate([self.head_w.data, new_w], axis=1), requires_grad=self.head_w.requires_grad
-        )
-        self.head_b = Tensor(
-            np.concatenate([self.head_b.data, np.zeros(extra_classes)]), requires_grad=self.head_b.requires_grad
-        )
+        self.head_w = np.concatenate([self.head_w, new_w], axis=1)
+        self.head_b = np.concatenate([self.head_b, np.zeros(extra_classes)])
         return self
 
 
@@ -230,27 +217,42 @@ class SGD:
         self.params = list(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        self._velocity = [np.zeros_like(p) for p in self.params]
 
     def step(self, grads):
         """Apply one update from the gradients, given in parameter order."""
         for p, v, g in zip(self.params, self._velocity, grads):
             v *= self.momentum
             v += g
-            p.data -= self.lr * v
+            p -= self.lr * v
 
 
-def distill_loss(student_logits: Tensor, teacher_logits, temperature):
-    """Temperature-softened divergence from the teacher's old-class logits,
-    scaled by temperature^2; exactly zero when the logits coincide."""
+def distill_loss(logits, teacher_logits, old_classes, temperature, weight):
+    """Temperature-softened divergence of the first ``old_classes`` logits
+    from the teacher's, scaled by temperature^2; exactly zero when the
+    logits coincide.
+
+    Returns ``(loss, dlogits)``: the loss is unweighted, as the trace
+    records it, and ``dlogits`` is the gradient of ``weight`` times the loss
+    at the full logits, weight * T * (softmax(z/T) - softmax(t/T)) over the
+    batch size on the old columns and zero on the new ones.
+    """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    t = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits, dtype=np.float64)
-    if t.shape != student_logits.data.shape:
-        raise ValueError(f"old-class slices differ: student {student_logits.data.shape} vs teacher {t.shape}")
+    z = np.asarray(logits, dtype=np.float64)
+    student = z[:, :old_classes]
+    t = np.asarray(teacher_logits, dtype=np.float64)
+    if t.shape != student.shape:
+        raise ValueError(f"old-class slices differ: student {student.shape} vs teacher {t.shape}")
     inv = 1.0 / float(temperature)
     target_logp = log_softmax(t * inv)
-    return kl_to_softmax(student_logits * inv, target_logp) * (temperature * temperature)
+    target = np.exp(target_logp)
+    logp = log_softmax(checked_logits(student * inv))
+    kl = (target * (target_logp - logp)).sum(axis=1)
+    sq = temperature * temperature
+    grad = np.zeros_like(z)
+    grad[:, :old_classes] += ((np.exp(logp) - target) * ((weight * sq) / t.shape[0])) * inv
+    return float(kl.mean()) * sq, grad
 
 
 @dataclass
@@ -289,9 +291,8 @@ def _flatten(arrays):
 def _set_flat_params(model, vec):
     offset = 0
     for p in model.params():
-        size = p.data.size
-        p.data = vec[offset : offset + size].reshape(p.data.shape).copy()
-        offset += size
+        p[...] = vec[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
 
 
 def _variant_loss_fn(variant, k, labels, schedule):
@@ -363,7 +364,7 @@ def train_phase(
     of the configured variant; later phases add the consolidation term when a
     teacher is given. Returns the model and the per-step trace.
     """
-    feats = data.features.data
+    feats = data.features
     labels = data.labels
     n = data.n
     k = model.n_classes
@@ -390,36 +391,34 @@ def train_phase(
                     trace.balance_rows.append(
                         (step, cls, float(schedule.priors[cls]), float(omega[cls]), float(schedule.pi_hat[cls]))
                     )
-            # each loss term is differentiated from its own leaf over the
-            # logits and gets its own backward pass through the network
-            logits = Tensor(acts.logits, requires_grad=True)
+            # one backward per loss term, summed per parameter afterwards: a
+            # single backward over the summed dlogits would round differently
             try:
-                loss_new = loss_fn(logits, y)
-                loss_old_term = None
-                loss_old_value = 0.0
+                loss_new, dlogits = loss_fn(acts.logits, y)
+                old_dlogits = None
+                loss_old = 0.0
                 if distilling:
-                    teacher_logits = teacher.logits_np(feats[idx])
-                    old_logits = Tensor(acts.logits, requires_grad=True)
-                    loss_old_term = distill_loss(
-                        old_logits[:, :old_classes], teacher_logits, config.distill_temperature
+                    loss_old, old_dlogits = distill_loss(
+                        acts.logits,
+                        teacher.logits_np(feats[idx]),
+                        old_classes,
+                        config.distill_temperature,
+                        config.distill_weight,
                     )
-                    loss_old_value = loss_old_term.item()
                 elif old_loss_probe is not None:
-                    loss_old_value = _probe_ce(model, old_loss_probe)
+                    loss_old = _probe_ce(model, old_loss_probe)
             except FloatingPointError as exc:
                 raise DivergenceError(
                     f"non-finite loss at phase {phase_index}, step {step}: {exc}"
                 ) from exc
-            if not np.isfinite(loss_new.data) or not np.isfinite(loss_old_value):
+            if not np.isfinite(loss_new) or not np.isfinite(loss_old):
                 raise DivergenceError(f"non-finite loss at phase {phase_index}, step {step}")
 
-            loss_new.backward()
-            grads, deltas = model.backward(acts, logits.grad)
+            grads, deltas = model.backward(acts, dlogits)
             grad_total_sq = float(np.sum(_flatten(grads) ** 2))
             grad_new, grad_old = _contribution_sums(grads, acts, deltas, y >= old_classes)
-            if loss_old_term is not None:
-                (loss_old_term * config.distill_weight).backward()
-                old_grads, _ = model.backward(acts, old_logits.grad)
+            if old_dlogits is not None:
+                old_grads, _ = model.backward(acts, old_dlogits)
                 grads = [g + h for g, h in zip(grads, old_grads)]
             optimizer.step(grads)
 
@@ -428,8 +427,8 @@ def train_phase(
                     phase=phase_index,
                     epoch=epoch,
                     step=step,
-                    loss_new=loss_new.item(),
-                    loss_old=loss_old_value,
+                    loss_new=loss_new,
+                    loss_old=loss_old,
                     grad_new_norm=float(np.linalg.norm(grad_new)),
                     grad_old_norm=float(np.linalg.norm(grad_old)),
                     grad_total_sq=grad_total_sq,
@@ -444,17 +443,16 @@ def train_phase(
 def _old_phase_curvature(model, old_sets, iters=150, tol=1e-2, seed=0):
     """Top eigenvalue of the summed old-phase Hessians at the model's current
     parameters, via finite-difference Hessian-vector products."""
-    theta = _flatten(p.data for p in model.params())
+    theta = _flatten(model.params())
 
     def grad_fn(vec):
         _set_flat_params(model, vec)
         total = None
         for phase_set in old_sets:
-            acts = model.forward(phase_set.features.data)
-            logits = Tensor(acts.logits, requires_grad=True)
-            ce_with_offset(logits, np.zeros(model.n_classes), phase_set.labels).backward()
-            grads, _ = model.backward(acts, logits.grad)
-            # phase by phase, in the order the tape summed them
+            acts = model.forward(phase_set.features)
+            _, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), phase_set.labels)
+            grads, _ = model.backward(acts, dlogits)
+            # summed phase by phase
             total = grads if total is None else [a + b for a, b in zip(total, grads)]
         return _flatten(total)
 
@@ -466,7 +464,7 @@ def _old_phase_curvature(model, old_sets, iters=150, tol=1e-2, seed=0):
 def _evaluate(model, stream: PhaseStream, phase):
     """Overall / old-group / new-group test accuracy over all seen classes."""
     test = concat_sets(stream.test_phases[: phase + 1])
-    pred = model.predict(test.features.data)
+    pred = model.predict(test.features)
     correct = pred == test.labels
     overall = 100.0 * float(correct.mean())
     new_start = stream.class_range(phase).start
@@ -563,11 +561,11 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
             sigma_max = start.sigma_max
         else:
             sigma_max = _old_phase_curvature(model.copy(), stream.phases[:t], seed=config.seed)
-        teacher = model.copy(frozen=True)
+        teacher = model.copy()
         model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
         train_set = merged_training_set(memory, phase)
         if config.loss_variant == LOSS_BDR:
-            acts = model.forward(train_set.features.data)
+            acts = model.forward(train_set.features)
             source = acts.features if config.variance_source == "feature" else acts.logits
             stats = balance.stats_from_pass(source, train_set.labels, model.n_classes)
             priors = balance.class_priors(np.bincount(train_set.labels, minlength=model.n_classes))
@@ -578,7 +576,7 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
         if config.distill_weight <= 0:
             replay = memory.as_labeled_set(old_count)
             if replay is not None:
-                probe = (replay.features.data, replay.labels)
+                probe = (replay.features, replay.labels)
         model, trace = train_phase(
             model, train_set, config, t, balance_state, teacher, old_count, probe
         )

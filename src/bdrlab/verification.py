@@ -1,9 +1,10 @@
 """Self-contained verification battery behind ``bdrlab verify``.
 
 Each check is an independent oracle: finite differences against the
-backward pass, closed forms against autodiff, exhaustive identities on
-random inputs, and an analytic quadratic toy where the peak-forgetting
-bound must hold with no slack term.
+closed-form loss gradients and the classifier's backward pass, closed forms
+against those gradients, exhaustive identities on random inputs, and an
+analytic quadratic toy where the peak-forgetting bound must hold with no
+slack term.
 """
 
 from __future__ import annotations
@@ -13,17 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import balance
+from .balance import ce_with_offset, weighted_ce
 from .diagnostics import cauchy_check, f_max, hessian_top_eigen
-from .tensor import (
-    Tensor,
-    ce_with_offset,
-    finite_diff_check,
-    kl_to_softmax,
-    log_softmax,
-    matmul,
-    relu,
-    weighted_ce,
-)
+from .tensor import Tensor, finite_diff_check, matmul
+from .training import Classifier, _flatten, _set_flat_params, distill_loss
 
 
 @dataclass
@@ -33,43 +27,55 @@ class CheckResult:
     detail: str
 
 
-def _nudge_from_zero(x, margin=0.05):
-    x = x.copy()
-    x[np.abs(x) < margin] += 2 * margin
-    return x
+def _net_loss(model, x, labels):
+    """Cross-entropy of a classifier as a function of its flat parameters,
+    with the gradient from ``Classifier.backward``."""
+
+    def f(theta):
+        _set_flat_params(model, theta)
+        acts = model.forward(x)
+        value, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), labels)
+        grads, _ = model.backward(acts, dlogits)
+        return value, _flatten(grads)
+
+    return f
 
 
 def check_gradient_oracle(instances=100, seed=0, tol=1e-5):
-    """Finite differences vs backward pass for every differentiable op."""
+    """Finite differences vs the closed-form gradient of every loss head and
+    vs ``Classifier.backward`` on a small ReLU net."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     cases = 0
     while cases < instances:
         b, k, d = rng.integers(2, 6), rng.integers(2, 6), rng.integers(2, 6)
+        old = int(rng.integers(1, k + 1))
         labels = rng.integers(0, k, b)
         offs = rng.normal(0.0, 1.5, k)
-        w_right = rng.standard_normal((d, k))
-        w_left = Tensor(rng.standard_normal((b, d)))
-        w_out = rng.standard_normal((k, k))
-        mixer = rng.standard_normal((b, k))
         weights = rng.uniform(0.1, 3.0, b)
-        target_logp = log_softmax(rng.standard_normal((b, k)))
+        priors = rng.uniform(1.0, 5.0, k)  # up to 5:1 skew
+        priors /= priors.sum()
+        schedule = balance.init_schedule(priors, rng.dirichlet(np.ones(k)), 0.8, 0.8, 0.99, tau=1.5)
+        teacher = rng.standard_normal((b, old))
+        temperature, weight = rng.uniform(0.5, 4.0), rng.uniform(0.1, 2.0)
+        net = Classifier(d, rng.integers(2, 6, 2), k, rng)
+        theta = _flatten(net.params())
+
+        def distill(x):
+            value, grad = distill_loss(x, teacher, old, temperature, weight)
+            return weight * value, grad
+
         checks = [
-            (rng.standard_normal((b, d)), lambda x: (matmul(x, w_right) * mixer).sum()),
-            (rng.standard_normal((d, k)), lambda x: (matmul(w_left, x) * mixer).sum()),
-            (_nudge_from_zero(rng.standard_normal((b, k))), lambda x: (relu(x) * mixer).sum()),
-            (rng.standard_normal((b, k)), lambda x: ((x * mixer + 0.5) * 2.0 - x).mean()),
             (rng.standard_normal((b, k)), lambda x: ce_with_offset(x, offs, labels)),
             (rng.standard_normal((b, k)), lambda x: weighted_ce(x, labels, weights)),
-            (rng.standard_normal((b, k)), lambda x: kl_to_softmax(x, target_logp)),
-            (rng.standard_normal((b, k + 2)), lambda x: ce_with_offset(x[:, 1 : k + 1], offs, labels)),
-            (
-                rng.standard_normal((b, d)),
-                lambda x: ce_with_offset(matmul(relu(matmul(x, w_right)), w_out), offs, labels),
-            ),
+            (rng.standard_normal((b, k)), lambda x: balance.bal_ce_loss(x, labels, priors, 1.5)),
+            (rng.standard_normal((b, k)), lambda x: balance.bdr_loss(x, labels, schedule)),
+            (rng.standard_normal((b, k)), distill),
+            # jittered so no bias is zero: a zero bias behind dead units sits on a kink
+            (theta + rng.normal(0.0, 0.1, theta.size), _net_loss(net, rng.standard_normal((b, d)), labels)),
         ]
         for value, fn in checks:
-            worst = max(worst, finite_diff_check(fn, Tensor(value)))
+            worst = max(worst, finite_diff_check(fn, value))
             cases += 1
     return CheckResult(
         "gradient oracle",
@@ -89,8 +95,8 @@ def check_shift_invariance(trials=200, seed=1, tol=1e-12):
         offs = rng.normal(0.0, 2.0, k)
         shift = rng.normal(0.0, 5.0) if trial % 4 else rng.choice([-900.0, 900.0])
         labels = rng.integers(0, k, b)
-        base = ce_with_offset(Tensor(z), offs, labels).item()
-        moved = ce_with_offset(Tensor(z), offs + shift, labels).item()
+        base, _ = ce_with_offset(z, offs, labels)
+        moved, _ = ce_with_offset(z, offs + shift, labels)
         worst = max(worst, abs(base - moved))
     return CheckResult("offset shift invariance", worst < tol, f"max deviation {worst:.3e}")
 
@@ -106,9 +112,8 @@ def check_binary_saturation(tol=1e-10):
     magnitudes = []
     for gap in gaps:
         for base in (0.0, 800.0):
-            logits = Tensor(np.array([[base + gap / 2.0, base - gap / 2.0]]), requires_grad=True)
-            ce_with_offset(logits, np.zeros(2), np.array([0])).backward()
-            grad_true = logits.grad[0, 0]
+            _, grad = ce_with_offset(np.array([[base + gap / 2.0, base - gap / 2.0]]), np.zeros(2), np.array([0]))
+            grad_true = grad[0, 0]
             closed = -1.0 / (1.0 + np.exp(gap))
             worst = max(worst, abs(grad_true - closed))
             if base == 0.0:
@@ -274,16 +279,16 @@ def check_exact_reduction(trials=1000, seed=7, tol=1e-12):
     worst = 0.0
     for _ in range(trials):
         b, k = int(rng.integers(1, 9)), int(rng.integers(2, 7))
-        z = Tensor(rng.normal(0.0, 3.0, (b, k)))
+        z = rng.normal(0.0, 3.0, (b, k))
         labels = rng.integers(0, k, b)
-        plain = ce_with_offset(z, np.zeros(k), labels).item()
+        plain, _ = ce_with_offset(z, np.zeros(k), labels)
         uniform = np.full(k, 1.0 / k)
         schedule = balance.init_schedule(uniform, uniform, m=1.0, m_prime=0.8, beta=0.99, tau=1.0)
-        worst = max(worst, abs(balance.bdr_loss(z, labels, schedule).item() - plain))
+        worst = max(worst, abs(balance.bdr_loss(z, labels, schedule)[0] - plain))
         skewed = balance.init_schedule(
             rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)), m=0.8, m_prime=0.8, beta=0.99, tau=0.0
         )
-        worst = max(worst, abs(balance.bdr_loss(z, labels, skewed).item() - plain))
+        worst = max(worst, abs(balance.bdr_loss(z, labels, skewed)[0] - plain))
     return CheckResult("exact reduction to plain cross-entropy", worst < tol, f"max deviation {worst:.3e}")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -273,11 +274,9 @@ class TestCmdSweep:
 
 
 class TestIdxDatasetEndToEnd:
-    def test_run_on_idx_files(self, tmp_path):
-        import struct
-
+    @staticmethod
+    def _write_idx_config(tmp_path, classes=4, n=160, side=4):
         rng = np.random.default_rng(0)
-        n, side, classes = 160, 4, 4
         images = rng.integers(0, 256, (n, side, side), dtype=np.uint8)
         labels = np.repeat(np.arange(classes), n // classes).astype(np.uint8)
         ipath = tmp_path / "images.idx"
@@ -309,10 +308,36 @@ variants = ce
 seeds = 0
 """
         )
+        return config_path, ipath
+
+    def test_run_on_idx_files(self, tmp_path):
+        config_path, _ = self._write_idx_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", str(config_path), "--out", str(out)]) == 0
         body = read_report(out / "ce_0.json")["body"]
         assert len(body["phases"]) == 2
+
+    def test_class_count_the_protocol_cannot_split_is_a_config_error(self, tmp_path, capsys):
+        # 5 classes cannot be dealt as 2 then blocks of 2; known only once the file is read
+        config_path, _ = self._write_idx_config(tmp_path, classes=5, n=150)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[protocol]" in err and "cannot split 5 classes" in err
+
+    def test_truncated_idx_file_names_the_file(self, tmp_path, capsys):
+        config_path, ipath = self._write_idx_config(tmp_path)
+        ipath.write_bytes(ipath.read_bytes()[:10])
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(ipath) in err and "header needs 16 bytes" in err
+
+
+class TestCmdVerify:
+    def test_every_check_passes(self, capsys):
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        assert all(line.startswith("PASS\t") for line in lines)
 
 
 class TestOutputsIsolated:

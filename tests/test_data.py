@@ -5,52 +5,46 @@ import pytest
 
 from bdrlab.data import (
     IdxFormatError,
+    LabeledSet,
     ProtocolError,
     load_idx,
     make_gaussian_mixture,
     make_rings,
     split_phases,
 )
-from bdrlab.tensor import Tensor, ce_with_offset, matmul, relu
+from bdrlab.balance import ce_with_offset
 
 
 def _train_linear_probe(features, labels, classes, steps=400, lr=0.5):
     """Full-batch softmax regression, used as an independent separability oracle."""
     rng = np.random.default_rng(0)
-    w = Tensor(rng.normal(0.0, 0.01, (features.shape[1], classes)), requires_grad=True)
-    b = Tensor(np.zeros(classes), requires_grad=True)
-    x = Tensor(features)
+    w = rng.normal(0.0, 0.01, (features.shape[1], classes))
+    b = np.zeros(classes)
     zero = np.zeros(classes)
     for _ in range(steps):
-        loss = ce_with_offset(matmul(x, w) + b, zero, labels)
-        w.grad = None
-        b.grad = None
-        loss.backward()
-        w.data -= lr * w.grad
-        b.data -= lr * b.grad
-    logits = features @ w.data + b.data
+        _, dlogits = ce_with_offset(features @ w + b, zero, labels)
+        w -= lr * (features.T @ dlogits)
+        b -= lr * dlogits.sum(axis=0)
+    logits = features @ w + b
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def _train_two_layer(features, labels, classes, width=64, steps=1500, lr=0.3):
     rng = np.random.default_rng(1)
-    w1 = Tensor(rng.normal(0.0, np.sqrt(2.0 / features.shape[1]), (features.shape[1], width)), requires_grad=True)
-    b1 = Tensor(np.zeros(width), requires_grad=True)
-    w2 = Tensor(rng.normal(0.0, 0.01, (width, classes)), requires_grad=True)
-    b2 = Tensor(np.zeros(classes), requires_grad=True)
-    params = [w1, b1, w2, b2]
-    x = Tensor(features)
+    w1 = rng.normal(0.0, np.sqrt(2.0 / features.shape[1]), (features.shape[1], width))
+    b1 = np.zeros(width)
+    w2 = rng.normal(0.0, 0.01, (width, classes))
+    b2 = np.zeros(classes)
     zero = np.zeros(classes)
     for _ in range(steps):
-        hidden = relu(matmul(x, w1) + b1)
-        loss = ce_with_offset(matmul(hidden, w2) + b2, zero, labels)
-        for p in params:
-            p.grad = None
-        loss.backward()
-        for p in params:
-            p.data -= lr * p.grad
-    hidden = np.maximum(features @ w1.data + b1.data, 0.0)
-    logits = hidden @ w2.data + b2.data
+        pre = features @ w1 + b1
+        hidden = np.maximum(pre, 0.0)
+        _, d2 = ce_with_offset(hidden @ w2 + b2, zero, labels)
+        d1 = (d2 @ w2.T) * (pre > 0.0)
+        for p, g in ((w1, features.T @ d1), (b1, d1.sum(axis=0)), (w2, hidden.T @ d2), (b2, d2.sum(axis=0))):
+            p -= lr * g
+    hidden = np.maximum(features @ w1 + b1, 0.0)
+    logits = hidden @ w2 + b2
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
@@ -63,12 +57,12 @@ class TestGaussianMixture:
     def test_same_seed_identical(self):
         a = make_gaussian_mixture(3, 4, 5, 2.0, seed=7)
         b = make_gaussian_mixture(3, 4, 5, 2.0, seed=7)
-        np.testing.assert_array_equal(a.features.data, b.features.data)
+        np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_wide_separation_linearly_separable(self):
         data = make_gaussian_mixture(3, 200, 4, 50.0, seed=3)
-        acc = _train_linear_probe(data.features.data, data.labels, 3)
+        acc = _train_linear_probe(data.features, data.labels, 3)
         assert acc > 0.99
 
     def test_bad_sizes(self):
@@ -81,7 +75,7 @@ class TestGaussianMixture:
 class TestRings:
     def test_zero_noise_radial_order(self):
         data = make_rings(2, 50, 0.0, seed=0)
-        radii = np.linalg.norm(data.features.data, axis=1)
+        radii = np.linalg.norm(data.features, axis=1)
         assert radii[data.labels == 0].max() < radii[data.labels == 1].min()
 
     def test_zero_per_class_rejected(self):
@@ -95,8 +89,8 @@ class TestRings:
     def test_nonlinear_separability_gap(self):
         # rings defeat a linear probe but not a small relu net
         data = make_rings(3, 100, 0.05, seed=5)
-        linear = _train_linear_probe(data.features.data, data.labels, 3)
-        nonlinear = _train_two_layer(data.features.data, data.labels, 3)
+        linear = _train_linear_probe(data.features, data.labels, 3)
+        nonlinear = _train_two_layer(data.features, data.labels, 3)
         assert linear < 0.60
         assert nonlinear > 0.90
 
@@ -133,7 +127,7 @@ class TestLoadIdx:
         labels = np.zeros(2, dtype=np.uint8)
         ipath, lpath = _write_idx_pair(tmp_path, images, labels)
         data = load_idx(ipath, lpath)
-        assert data.features.data.max() == 1.0
+        assert data.features.max() == 1.0
 
     def test_truncated_payload_names_offset(self, tmp_path):
         p = tmp_path / "short.idx"
@@ -149,6 +143,13 @@ class TestLoadIdx:
         ipath, lpath = _write_idx_pair(tmp_path, images, labels)
         with pytest.raises(IdxFormatError, match="mismatch"):
             load_idx(ipath, lpath)
+
+
+class TestLabeledSet:
+    def test_features_are_coerced_to_a_float64_array(self):
+        data = LabeledSet([[1, 2], [3, 4]], np.array([0, 1]), 2)
+        assert type(data.features) is np.ndarray and data.features.dtype == np.float64
+        np.testing.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestSplitPhases:
@@ -183,7 +184,7 @@ class TestSplitPhases:
         a = split_phases(data, 2, 2, seed=9)
         b = split_phases(data, 2, 2, seed=9)
         for pa, pb in zip(a.phases + a.test_phases, b.phases + b.test_phases):
-            np.testing.assert_array_equal(pa.features.data, pb.features.data)
+            np.testing.assert_array_equal(pa.features, pb.features)
             np.testing.assert_array_equal(pa.labels, pb.labels)
 
     def test_different_seeds_change_class_order(self):

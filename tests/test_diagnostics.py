@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from bdrlab.diagnostics import (
     cauchy_check,
     destruction_report,
     f_max,
-    grad_oracle,
     hessian_top_eigen,
     metrics,
     old_loss_distribution,
@@ -159,11 +160,23 @@ class TestHessianTopEigen:
             estimate = hessian_top_eigen(lambda v: matrix @ v, np.zeros(2), iters=50, tol=0.0)
         assert estimate == pytest.approx(2.0, abs=1e-6)
 
+    def test_warning_names_the_estimate_and_its_last_change(self):
+        matrix = np.diag([2.0, 1.0])
+        with pytest.warns(RuntimeWarning) as caught:
+            estimate = hessian_top_eigen(lambda v: matrix @ v, np.zeros(2), iters=5, tol=0.0)
+        text = str(caught[0].message)
+        assert text.startswith("power iteration did not converge within 5 iterations")
+        assert f"last estimate {estimate!r} (last change " in text
 
-class TestGradOracle:
-    def test_matches_manual_gradient(self):
-        grad_fn = grad_oracle(lambda x: (x * x).sum() * 0.5)
-        np.testing.assert_allclose(grad_fn(np.array([1.0, -2.0])), [1.0, -2.0])
+    def test_every_nonconverged_estimate_warns_under_the_default_filter(self):
+        # the default filter prints a given text once per code location, so
+        # two different estimates must give two different texts
+        matrix = np.diag([2.0, 1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for iters in (5, 6):
+                hessian_top_eigen(lambda v: matrix @ v, np.zeros(2), iters=iters, tol=0.0)
+        assert [str(w.message).startswith("power iteration did not converge") for w in caught] == [True, True]
 
 
 class TestDestructionReport:

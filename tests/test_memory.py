@@ -8,13 +8,12 @@ from bdrlab.memory import (
     herding_select,
     merged_training_set,
 )
-from bdrlab.tensor import Tensor
 
 IDENTITY = lambda rows: rows  # features == raw samples
 
 
 def _set_of(features, labels, classes):
-    return LabeledSet(Tensor(np.asarray(features, float)), np.asarray(labels, np.int64), classes)
+    return LabeledSet(np.asarray(features, float), np.asarray(labels, np.int64), classes)
 
 
 def _brute_force_first_pick(features):
@@ -159,7 +158,7 @@ class TestExemplarMemory:
         memory = ExemplarMemory(budget=4)
         memory.update(data, IDENTITY)
         for row in memory.rows_for(0):
-            assert any(np.array_equal(row, sample) for sample in data.features.data)
+            assert any(np.array_equal(row, sample) for sample in data.features)
 
     def test_index_map_points_at_sources(self):
         data = _set_of(np.arange(8)[:, None], np.repeat([0, 1], 4), 2)
@@ -167,7 +166,7 @@ class TestExemplarMemory:
         memory.update(data, IDENTITY)
         for cls, indices in memory.index_map().items():
             for stored, src in zip(memory.rows_for(cls), indices):
-                np.testing.assert_array_equal(stored, data.features.data[src])
+                np.testing.assert_array_equal(stored, data.features[src])
 
 
 class TestMergedTrainingSet:

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from bdrlab.tensor import (
-    Tensor,
-    ce_with_offset,
-    finite_diff_check,
-    kl_to_softmax,
-    log_softmax,
-    matmul,
-    relu,
-    weighted_ce,
-)
+from bdrlab.balance import ce_with_offset, weighted_ce
+from bdrlab.tensor import Tensor, finite_diff_check, matmul, relu, value_and_grad
+from bdrlab.training import distill_loss
 
 
 class TestMatmul:
@@ -63,39 +56,40 @@ class TestRelu:
 
 
 class TestCeWithOffset:
+    # the closed-form head: (loss, gradient at the logits)
+
     def test_uniform_softmax(self):
-        loss = ce_with_offset(Tensor([[0.0, 0.0]]), np.zeros(2), [0])
-        assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
+        loss, _ = ce_with_offset([[0.0, 0.0]], np.zeros(2), [0])
+        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_offset_changes_target_probability(self):
-        loss = ce_with_offset(Tensor([[0.0, 0.0]]), np.log([0.75, 0.25]), [0])
-        assert loss.item() == pytest.approx(-np.log(0.75), abs=1e-12)
+        loss, _ = ce_with_offset([[0.0, 0.0]], np.log([0.75, 0.25]), [0])
+        assert loss == pytest.approx(-np.log(0.75), abs=1e-12)
 
     def test_constant_offset_is_invisible(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal((4, 3))
         y = np.array([0, 2, 1, 1])
-        base = ce_with_offset(Tensor(z), np.zeros(3), y).item()
-        shifted = ce_with_offset(Tensor(z), np.full(3, 17.5), y).item()
+        base, _ = ce_with_offset(z, np.zeros(3), y)
+        shifted, _ = ce_with_offset(z, np.full(3, 17.5), y)
         assert abs(base - shifted) < 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError, match="label 3"):
-            ce_with_offset(Tensor([[0.0, 0.0]]), np.zeros(2), [3])
+            ce_with_offset([[0.0, 0.0]], np.zeros(2), [3])
 
     def test_non_finite_logit(self):
         with pytest.raises(FloatingPointError):
-            ce_with_offset(Tensor([[np.inf, 0.0]]), np.zeros(2), [0])
+            ce_with_offset([[np.inf, 0.0]], np.zeros(2), [0])
 
     def test_gradient_ignores_offsets(self):
-        # offsets are constants; only logits receive gradient
-        z = Tensor(np.array([[0.5, -0.2, 0.1]]), requires_grad=True)
-        ce_with_offset(z, np.array([1.0, -2.0, 0.3]), [1]).backward()
-        assert z.grad is not None and z.grad.shape == (1, 3)
+        # offsets are constants; the gradient is taken at the logits only
+        _, grad = ce_with_offset(np.array([[0.5, -0.2, 0.1]]), np.array([1.0, -2.0, 0.3]), [1])
+        assert grad.shape == (1, 3)
 
     def test_strongly_negative_offsets_stay_finite(self):
-        loss = ce_with_offset(Tensor([[0.0, 0.0]]), np.array([0.0, -500.0]), [1])
-        assert np.isfinite(loss.item())
+        loss, grad = ce_with_offset([[0.0, 0.0]], np.array([0.0, -500.0]), [1])
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 
 class TestBackward:
@@ -108,7 +102,7 @@ class TestBackward:
         rng = np.random.default_rng(2)
         offs = rng.standard_normal(4)
         labels = rng.integers(0, 4, 3)
-        err = finite_diff_check(lambda x: ce_with_offset(x, offs, labels), Tensor(rng.standard_normal((3, 4))))
+        err = finite_diff_check(lambda x: ce_with_offset(x, offs, labels), rng.standard_normal((3, 4)))
         assert err < 1e-5
 
     def test_double_backward_accumulates(self):
@@ -134,7 +128,7 @@ class TestBackward:
 
 class TestFiniteDiffCheck:
     def test_exact_for_quadratic(self):
-        err = finite_diff_check(lambda x: (x * x).sum() * 0.5, Tensor(np.array([1.0, -2.0, 3.0])))
+        err = finite_diff_check(value_and_grad(lambda x: (x * x).sum() * 0.5), np.array([1.0, -2.0, 3.0]))
         assert err < 1e-7
 
     def test_cross_entropy_self_oracle(self):
@@ -143,17 +137,33 @@ class TestFiniteDiffCheck:
         labels = rng.integers(0, 4, 3)
         err = finite_diff_check(
             lambda x: ce_with_offset(x, offs, labels),
-            Tensor(rng.standard_normal((3, 4))),
+            rng.standard_normal((3, 4)),
         )
         assert err < 1e-5
 
     def test_constant_function_scores_zero(self):
-        err = finite_diff_check(lambda x: (x * 0.0).sum(), Tensor(np.array([1.0, 2.0])))
+        err = finite_diff_check(value_and_grad(lambda x: (x * 0.0).sum()), np.array([1.0, 2.0]))
         assert err == 0.0
+
+    def test_tape_function_must_return_a_scalar(self):
+        with pytest.raises(ValueError, match="scalar"):
+            finite_diff_check(value_and_grad(lambda x: x * 2.0), np.array([1.0, 2.0]))
+
+
+def _first_columns(head, k):
+    # a head applied to the first k columns, its gradient scattered back
+    def f(x):
+        value, grad = head(x[:, :k])
+        full = np.zeros_like(x)
+        full[:, :k] = grad
+        return value, full
+
+    return f
 
 
 class TestGradientBattery:
-    """Every differentiable op against central differences, many seeds."""
+    """The tape's ops and every closed-form loss head against central
+    differences, many seeds."""
 
     def test_ops_over_many_random_instances(self):
         rng = np.random.default_rng(42)
@@ -164,33 +174,31 @@ class TestGradientBattery:
             offs = rng.standard_normal(k)
             wr = rng.standard_normal((d, k))
             mix = rng.standard_normal((b, k))
-            targets = log_softmax(rng.standard_normal((b, k)))
+            teacher = rng.standard_normal((b, k))
             weights = rng.uniform(0.2, 2.0, b)
             cases = [
-                (rng.standard_normal((b, d)), lambda x: (matmul(x, wr) * mix).sum()),
-                (rng.standard_normal((b, k)) + 0.3, lambda x: (relu(x) * mix).mean()),
+                (rng.standard_normal((b, d)), value_and_grad(lambda x: (matmul(x, wr) * mix).sum())),
+                (rng.standard_normal((b, k)) + 0.3, value_and_grad(lambda x: (relu(x) * mix).mean())),
                 (rng.standard_normal((b, k)), lambda x: ce_with_offset(x, offs, labels)),
                 (rng.standard_normal((b, k)), lambda x: weighted_ce(x, labels, weights)),
-                (rng.standard_normal((b, k)), lambda x: kl_to_softmax(x, targets)),
-                (rng.standard_normal((b, k + 1)), lambda x: ce_with_offset(x[:, :k], offs, labels)),
+                (rng.standard_normal((b, k)), lambda x: distill_loss(x, teacher, k, 1.0, 1.0)),
+                (rng.standard_normal((b, k + 1)), _first_columns(lambda x: ce_with_offset(x, offs, labels), k)),
             ]
             for value, fn in cases:
-                worst = max(worst, finite_diff_check(fn, Tensor(value)))
+                worst = max(worst, finite_diff_check(fn, value))
         assert worst < 1e-5
 
 
 class TestBinarySaturation:
     def test_closed_form_gradient(self):
         for gap in np.linspace(-20.0, 20.0, 81):
-            z = Tensor(np.array([[gap, 0.0]]), requires_grad=True)
-            ce_with_offset(z, np.zeros(2), np.array([0])).backward()
-            assert z.grad[0, 0] == pytest.approx(-1.0 / (1.0 + np.exp(gap)), abs=1e-10)
+            _, grad = ce_with_offset(np.array([[gap, 0.0]]), np.zeros(2), np.array([0]))
+            assert grad[0, 0] == pytest.approx(-1.0 / (1.0 + np.exp(gap)), abs=1e-10)
 
     def test_magnitude_strictly_decreasing_and_vanishing(self):
         mags = []
         for gap in np.linspace(-20.0, 20.0, 161):
-            z = Tensor(np.array([[gap, 0.0]]), requires_grad=True)
-            ce_with_offset(z, np.zeros(2), np.array([0])).backward()
-            mags.append(abs(z.grad[0, 0]))
+            _, grad = ce_with_offset(np.array([[gap, 0.0]]), np.zeros(2), np.array([0]))
+            mags.append(abs(grad[0, 0]))
         assert all(a > b for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-8

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bdrlab import balance
+from bdrlab.balance import log_softmax
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
 from bdrlab.seeding import INIT, rng_for
-from bdrlab.tensor import Tensor, log_softmax, matmul, relu
+from bdrlab.tensor import Tensor, finite_diff_check, matmul, relu
 from bdrlab.training import (
     LOSS_VARIANTS,
     Classifier,
@@ -28,6 +29,15 @@ def small_config(**overrides):
     return TrainConfig(**base)
 
 
+class TestClassifier:
+    def test_parameters_are_float64_arrays_and_copies_share_none(self):
+        model = Classifier(4, (8, 6), 3, rng_for(0, INIT, 0))
+        clone = model.copy()
+        for p, q in zip(model.params(), clone.params()):
+            assert type(p) is np.ndarray and p.dtype == np.float64
+            assert np.array_equal(p, q) and not np.shares_memory(p, q)
+
+
 class TestExpandHead:
     def test_old_logits_preserved(self):
         rng = np.random.default_rng(0)
@@ -46,7 +56,7 @@ class TestExpandHead:
         # sigma = 0.01 head columns against unit-norm features: |z| < 0.1 is a 10-sigma event
         features = rng.standard_normal((50, 8))
         features /= np.linalg.norm(features, axis=1, keepdims=True)
-        logits = features @ model.head_w.data[:, 2:] + model.head_b.data[2:]
+        logits = features @ model.head_w[:, 2:] + model.head_b[2:]
         assert np.abs(logits).max() < 0.1
 
     def test_two_small_expansions_match_one_big_for_old_rows(self):
@@ -55,7 +65,7 @@ class TestExpandHead:
         a.expand_head(2, rng_for(7, INIT, 1))
         a.expand_head(2, rng_for(7, INIT, 2))
         b.expand_head(4, rng_for(7, INIT, 1))
-        np.testing.assert_array_equal(a.head_w.data[:, :2], b.head_w.data[:, :2])
+        np.testing.assert_array_equal(a.head_w[:, :2], b.head_w[:, :2])
 
     def test_zero_growth_rejected(self):
         model = Classifier(3, (6,), 2, rng_for(0, INIT, 0))
@@ -66,24 +76,25 @@ class TestExpandHead:
 class TestDistillLoss:
     def test_identical_logits_zero(self):
         logits = np.array([[1.0, -2.0, 0.5], [0.1, 0.2, 0.3]])
-        loss = distill_loss(Tensor(logits), logits.copy(), 2.0)
-        assert loss.item() == 0.0
+        loss, grad = distill_loss(logits, logits.copy(), 3, 2.0, 1.0)
+        assert loss == 0.0
+        assert not grad.any()
 
     def test_closed_form_two_class(self):
         # teacher [1,0] vs student [0,1] at unit temperature: KL between the
         # two softened distributions, whose log-ratio is exactly 1
         p = np.exp(log_softmax(np.array([[1.0, 0.0]])))[0]
         expected = p[0] * 1.0 + p[1] * -1.0
-        loss = distill_loss(Tensor([[0.0, 1.0]]), np.array([[1.0, 0.0]]), 1.0)
-        assert loss.item() == pytest.approx(expected, abs=1e-12)
-        assert loss.item() == pytest.approx(0.462, abs=1e-3)
+        loss, _ = distill_loss([[0.0, 1.0]], np.array([[1.0, 0.0]]), 2, 1.0, 1.0)
+        assert loss == pytest.approx(expected, abs=1e-12)
+        assert loss == pytest.approx(0.462, abs=1e-3)
 
     def test_high_temperature_matches_quadratic_expansion(self):
         # for T large, loss ~ mean over batch of sum((delta - mean(delta))^2) / (2K)
         rng = np.random.default_rng(2)
         student = rng.standard_normal((4, 5)) * 0.3
         teacher = student + rng.standard_normal((4, 5)) * 0.05
-        loss = distill_loss(Tensor(student), teacher, 100.0).item()
+        loss, _ = distill_loss(student, teacher, 5, 100.0, 1.0)
         delta = teacher - student
         centered = delta - delta.mean(axis=1, keepdims=True)
         series = float((centered**2).sum(axis=1).mean()) / (2 * 5)
@@ -91,34 +102,41 @@ class TestDistillLoss:
 
     def test_slice_mismatch(self):
         with pytest.raises(ValueError, match="slices"):
-            distill_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 4)), 2.0)
+            distill_loss(np.zeros((2, 3)), np.zeros((2, 4)), 3, 2.0, 1.0)
 
     def test_gradient_against_finite_differences(self):
-        from bdrlab.tensor import finite_diff_check
-
         rng = np.random.default_rng(3)
         teacher = rng.standard_normal((3, 4))
-        err = finite_diff_check(
-            lambda x: distill_loss(x, teacher, 2.0), Tensor(rng.standard_normal((3, 4)))
-        )
+        err = finite_diff_check(lambda x: distill_loss(x, teacher, 4, 2.0, 1.0), rng.standard_normal((3, 4)))
         assert err < 1e-5
+
+    def test_gradient_is_weighted_and_zero_on_new_columns(self):
+        rng = np.random.default_rng(4)
+        logits, teacher = rng.standard_normal((3, 5)), rng.standard_normal((3, 2))
+        loss, grad = distill_loss(logits, teacher, 2, 2.0, 1.0)
+        weighted_loss, weighted_grad = distill_loss(logits, teacher, 2, 2.0, 0.25)
+        assert weighted_loss == loss
+        np.testing.assert_allclose(weighted_grad, 0.25 * grad, rtol=1e-15)
+        assert not grad[:, 2:].any()
 
 
 def _one_class_set(n=40, dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    return LabeledSet(Tensor(rng.standard_normal((n, dim))), np.zeros(n, dtype=np.int64), 1)
+    return LabeledSet(rng.standard_normal((n, dim)), np.zeros(n, dtype=np.int64), 1)
 
 
-def _tape_logits(model, x):
-    # the classifier's forward pass built on the autodiff tape
+def _tape_logits(params, x):
+    # the classifier's forward pass built on the autodiff tape, from its
+    # parameters in ``Classifier.params()`` order
     h = Tensor(x)
-    for w, b in model.layers:
+    for w, b in zip(params[:-2:2], params[1:-2:2]):
         h = relu(matmul(h, w) + b)
-    return matmul(h, model.head_w) + model.head_b
+    return matmul(h, params[-2]) + params[-1]
 
 
 class TestKernelAgainstTape:
-    # the tape is the reference for the classifier's numpy forward/backward
+    # the tape is the reference for the classifier's numpy forward/backward;
+    # each closed-form dlogits enters it as the logits' output adjoint
 
     K, OLD = 5, 3
 
@@ -138,25 +156,27 @@ class TestKernelAgainstTape:
     def test_gradients_equal_the_tapes(self, variant, distill):
         model, x, y, loss_fn, teacher_logits = self._setup(variant)
 
-        tape_logits = _tape_logits(model, x)
-        loss_fn(tape_logits, y).backward()
+        acts = model.forward(x)
+        _, dlogits = loss_fn(acts.logits, y)
+        terms = [dlogits]
         if distill:
-            (distill_loss(tape_logits[:, : self.OLD], teacher_logits, 2.0) * 0.7).backward()
-        expected = [p.grad for p in model.params()]
+            terms.append(distill_loss(acts.logits, teacher_logits, self.OLD, 2.0, 0.7)[1])
+
+        # the reference: one tape backward per loss term, each parameter's
+        # gradient accumulated across them
+        params = [Tensor(p, requires_grad=True) for p in model.params()]
+        tape_logits = _tape_logits(params, x)
+        assert np.array_equal(acts.logits, tape_logits.data)
+        for term in terms:
+            (tape_logits * term).sum().backward()
+        expected = [p.grad for p in params]
 
         # one backward per loss term, summed per parameter afterwards, as in train_phase
-        acts = model.forward(x)
-        assert np.array_equal(acts.logits, tape_logits.data)
-        logits = Tensor(acts.logits, requires_grad=True)
-        loss_fn(logits, y).backward()
-        grads, _ = model.backward(acts, logits.grad)
-        if distill:
-            old_logits = Tensor(acts.logits, requires_grad=True)
-            (distill_loss(old_logits[:, : self.OLD], teacher_logits, 2.0) * 0.7).backward()
-            old_grads, _ = model.backward(acts, old_logits.grad)
-            grads = [g + h for g, h in zip(grads, old_grads)]
+        grads, _ = model.backward(acts, terms[0])
+        for term in terms[1:]:
+            grads = [g + h for g, h in zip(grads, model.backward(acts, term)[0])]
 
-        assert [g.shape for g in grads] == [p.data.shape for p in model.params()]
+        assert [g.shape for g in grads] == [p.shape for p in model.params()]
         for got, want in zip(grads, expected):
             assert np.array_equal(got, want)
 
@@ -165,18 +185,17 @@ class TestKernelAgainstTape:
     def test_one_pass_split_matches_two_sub_batch_passes(self, variant, old_classes):
         model, x, y, loss_fn, _ = self._setup(variant)
         acts = model.forward(x)
-        logits = Tensor(acts.logits, requires_grad=True)
-        loss_fn(logits, y).backward()
-        grads, deltas = model.backward(acts, logits.grad)
+        grads, deltas = model.backward(acts, loss_fn(acts.logits, y)[1])
         split = _contribution_sums(grads, acts, deltas, y >= old_classes)
 
         # reference: each sub-batch's summed loss through its own tape pass
         for got, rows in zip(split, (y >= old_classes, y < old_classes)):
-            for p in model.params():
-                p.grad = None
             if rows.any():
-                (loss_fn(_tape_logits(model, x[rows]), y[rows]) * float(rows.sum())).backward()
-                want = _flatten([p.grad for p in model.params()])
+                params = [Tensor(p, requires_grad=True) for p in model.params()]
+                sub_logits = _tape_logits(params, x[rows])
+                _, sub_dlogits = loss_fn(sub_logits.data, y[rows])
+                (sub_logits * (sub_dlogits * float(rows.sum()))).sum().backward()
+                want = _flatten([p.grad for p in params])
             else:
                 want = np.zeros(got.size)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -188,7 +207,7 @@ class TestTrainPhase:
         config = small_config(distill_weight=0.0)
         model = Classifier(3, config.hidden, 1, rng_for(0, INIT, 0))
         model, _ = train_phase(model, data, config, 0)
-        assert model.accuracy(data.features.data, data.labels) == 100.0
+        assert model.accuracy(data.features, data.labels) == 100.0
 
     def test_phase_zero_epoch_means_decrease(self):
         data = make_gaussian_mixture(4, 40, 6, 3.0, seed=1)
@@ -206,7 +225,7 @@ class TestTrainPhase:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((20, 3))
         x[7, 1] = np.inf
-        data = LabeledSet(Tensor(x), rng.integers(0, 2, 20).astype(np.int64), 2)
+        data = LabeledSet(x, rng.integers(0, 2, 20).astype(np.int64), 2)
         config = small_config(epochs=1, batch_size=20, hidden=(16,))
         model = Classifier(3, config.hidden, 2, rng_for(0, INIT, 0))
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="step 0"):
@@ -233,12 +252,12 @@ class TestTrainPhase:
         config = small_config(epochs=2)
         model = Classifier(4, config.hidden, 2, rng_for(0, INIT, 0))
         model, _ = train_phase(model, stream.phases[0], config, 0)
-        teacher = model.copy(frozen=True)
-        snapshot = [p.data.copy() for p in teacher.params()]
+        teacher = model.copy()
+        snapshot = [p.copy() for p in teacher.params()]
         model.expand_head(2, rng_for(0, INIT, 1))
         train_phase(model, stream.phases[1], config, 1, teacher=teacher, old_classes=2)
         for p, snap in zip(teacher.params(), snapshot):
-            np.testing.assert_array_equal(p.data, snap)
+            np.testing.assert_array_equal(p, snap)
 
 
 class TestRunExperiment:
@@ -265,7 +284,7 @@ class TestRunExperiment:
         looped_losses = looped.traces[0].column("loss_new")
         np.testing.assert_array_equal(looped_losses, direct_trace.column("loss_new"))
         acc = direct.accuracy(
-            np.concatenate([t.features.data for t in stream.test_phases[:1]]),
+            np.concatenate([t.features for t in stream.test_phases[:1]]),
             np.concatenate([t.labels for t in stream.test_phases[:1]]),
         )
         assert looped.report["phases"][0]["accuracy"]["overall"] == acc
