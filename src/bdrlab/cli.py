@@ -18,10 +18,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig, load_config, protocol_error, validate
+from .config import ConfigError, ExperimentConfig, checked, load_config, parse_value, protocol_error
 from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, split_phases
+from .memory import MemoryConfigError
 from .reporting import (
     atomic_write_text,
     write_balance_csv,
@@ -33,14 +33,14 @@ from .training import DivergenceError, first_phase, run_experiment
 
 # sweep name -> config attribute (protocol letters follow the benchmark notation)
 SWEEP_PARAMS = {
-    "m": ("m", float),
-    "m_prime": ("m_prime", float),
-    "beta": ("beta", float),
-    "tau": ("tau", float),
-    "R": ("memory_budget", int),
-    "S": ("increment", int),
-    "B": ("initial_classes", int),
-    "lambda": ("distill_weight", float),
+    "m": "m",
+    "m_prime": "m_prime",
+    "beta": "beta",
+    "tau": "tau",
+    "R": "memory_budget",
+    "S": "increment",
+    "B": "initial_classes",
+    "lambda": "distill_weight",
 }
 
 
@@ -149,28 +149,24 @@ def _cmd_verify(args):
     return 0 if failures == 0 else 1
 
 
-def _parse_values(text, cast):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("sweep needs at least one value")
-    return [cast(p) for p in parts]
-
-
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(
             f"unknown sweep parameter {args.param!r}; valid names: {', '.join(sorted(SWEEP_PARAMS))}"
         )
-    attr, cast = SWEEP_PARAMS[args.param]
-    values = _parse_values(args.values, cast)
+    attr = SWEEP_PARAMS[args.param]
+    texts = [p.strip() for p in args.values.split(",") if p.strip()]
+    if not texts:
+        raise ConfigError("sweep needs at least one value")
     out_root = args.out or cfg.out
     swept_configs = []
-    for value in values:  # every value is checked before the first run starts
+    for text in texts:  # every value is checked before the first run starts
         try:
-            swept_configs.append((value, validate(replace(cfg, **{attr: value}))))
+            value = parse_value(attr, text)
+            swept_configs.append((value, checked(cfg, **{attr: value})))
         except ConfigError as exc:
-            raise ConfigError(f"sweep value {args.param}={value}: {exc}") from exc
+            raise ConfigError(f"sweep value {args.param}={text}: {exc}") from exc
     rows = []
     for value, swept in swept_configs:
         sub_dir = os.path.join(out_root, f"{args.param}={value}")
@@ -189,6 +185,13 @@ def _cmd_sweep(args):
     return 0
 
 
+def positive_int(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="bdrlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,7 +199,7 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run every configured (variant, seed) pair")
     p_run.add_argument("config", help="path to an experiment config file")
     p_run.add_argument("--out", default=None, help="output directory (overrides the config)")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the oracle and property battery")
@@ -207,7 +210,7 @@ def _build_parser():
     p_sweep.add_argument("--param", required=True, help=f"one of: {', '.join(sorted(SWEEP_PARAMS))}")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=positive_int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -222,6 +225,9 @@ def main(argv=None):
         return 2
     except ProtocolError as exc:  # an idx dataset's class count is known only once it is read
         print(f"config error: {protocol_error(exc)}", file=sys.stderr)
+        return 2
+    except MemoryConfigError as exc:  # so is whether a global budget covers its classes
+        print(f"config error: bad value for 'budget' in [memory]: {exc}", file=sys.stderr)
         return 2
     except IdxFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -8,11 +8,11 @@ byte-identically through parse -> serialize.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .data import ProtocolError, phase_sizes
-from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM
-from .training import SettingError, TrainConfig
+from .memory import GLOBAL
+from .training import LOSS_VARIANTS, SettingError, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -20,7 +20,11 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(TrainConfig):
+    """A whole experiment: the dataset, the protocol and the runs, plus the
+    inherited training settings that every run shares. ``seed`` and
+    ``loss_variant`` name the run a config describes (see ``train_config``)."""
+
     # dataset
     dataset_kind: str = "gaussian"
     classes: int = 8
@@ -33,61 +37,56 @@ class ExperimentConfig:
     # protocol
     initial_classes: int = 4
     increment: int = 2
-    # memory
-    memory_mode: str = PER_CLASS
-    memory_budget: int = 5
-    memory_selection: str = HERDING
-    # train
-    epochs: int = 12
-    batch_size: int = 32
-    lr: float = 0.03
-    sgd_momentum: float = 0.9
-    distill_weight: float = 1.0
-    distill_temperature: float = 2.0
-    variance_source: str = "feature"
-    hidden: tuple = (64, 64)
-    # balance
-    m: float = 0.8
-    m_prime: float = 0.8
-    beta: float = 0.99
-    tau: float = 1.0
     # run
     variants: tuple = ("ce", "bdr")
     seeds: tuple = (0,)
     out: str = "runs"
 
+    def __post_init__(self):
+        super().__post_init__()
+        kind = self.dataset_kind
+        lowest_seed = min(self.seeds, default=0)
+        checks = [
+            ("dataset_kind", kind in ("gaussian", "rings", "idx"), f"unknown dataset kind {kind!r}"),
+            ("separation", self.separation > 0, f"separation must be positive, got {self.separation}"),
+            ("ring_noise", self.ring_noise >= 0, f"noise must be non-negative, got {self.ring_noise}"),
+            ("seeds", bool(self.seeds), "at least one seed is required"),
+            ("seeds", lowest_seed >= 0, f"seeds must be non-negative, got {lowest_seed}"),
+        ]
+        for name, least in (("classes", 2), ("per_class", 1), ("dim", 2)):
+            value = getattr(self, name)
+            checks.append((name, value >= least, f"{name} must be at least {least}, got {value}"))
+        if kind == "idx":
+            for name in ("idx_images", "idx_labels"):
+                checks.append((name, bool(getattr(self, name)), "dataset kind 'idx' needs both images and labels paths"))
+        elif self.memory_mode == GLOBAL:  # an idx file's class count is known only once it is read
+            short = self.memory_budget < self.classes
+            message = f"a global budget of {self.memory_budget} leaves some of {self.classes} classes no exemplar"
+            checks.append(("memory_budget", not short, message))
+        unknown = [v for v in self.variants if v not in LOSS_VARIANTS]
+        message = f"unknown loss variant {', '.join(unknown)}, expected any of {', '.join(LOSS_VARIANTS)}"
+        checks.append(("variants", not unknown, message))
+        for name in ("variants", "seeds"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1}, key=values.index)
+            checks.append((name, not repeated, f"{', '.join(map(str, repeated))} listed more than once"))
+        for name, ok, message in checks:
+            if not ok:
+                raise SettingError(name, message)
+        if kind != "idx":
+            phase_sizes(self.classes, self.initial_classes, self.increment)
+
     def train_config(self, variant, seed):
-        """The training settings of one (variant, seed) run: every
-        ``TrainConfig`` field this config also has, plus the pair."""
-        own = {f.name for f in fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name in own}
-        return TrainConfig(**shared, seed=int(seed), loss_variant=variant)
+        """The settings of one (variant, seed) run."""
+        return replace(self, loss_variant=variant, seed=int(seed))
 
     def as_dict(self):
+        """Every config key's value, by attribute, in ``_SCHEMA`` order."""
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+        for attr in _KEY_OF:
+            value = getattr(self, attr)
+            out[attr] = list(value) if isinstance(value, tuple) else value
         return out
-
-
-def _parse_int(text):
-    return int(text)
-
-
-def _parse_float(text):
-    return float(text)
-
-
-def _parse_str(text):
-    return text.strip()
-
-
-def _parse_int_list(text):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
 
 
 def _parse_str_list(text):
@@ -95,6 +94,10 @@ def _parse_str_list(text):
     if not parts:
         raise ValueError("empty list")
     return tuple(parts)
+
+
+def _parse_int_list(text):
+    return tuple(int(p) for p in _parse_str_list(text))
 
 
 def _fmt(value):
@@ -108,51 +111,50 @@ def _fmt(value):
 # section -> key -> (attribute, parser)
 _SCHEMA = {
     "dataset": {
-        "kind": ("dataset_kind", _parse_str),
-        "classes": ("classes", _parse_int),
-        "per_class": ("per_class", _parse_int),
-        "dim": ("dim", _parse_int),
-        "separation": ("separation", _parse_float),
-        "noise": ("ring_noise", _parse_float),
-        "images": ("idx_images", _parse_str),
-        "labels": ("idx_labels", _parse_str),
+        "kind": ("dataset_kind", str.strip),
+        "classes": ("classes", int),
+        "per_class": ("per_class", int),
+        "dim": ("dim", int),
+        "separation": ("separation", float),
+        "noise": ("ring_noise", float),
+        "images": ("idx_images", str.strip),
+        "labels": ("idx_labels", str.strip),
     },
     "protocol": {
-        "initial_classes": ("initial_classes", _parse_int),
-        "increment": ("increment", _parse_int),
+        "initial_classes": ("initial_classes", int),
+        "increment": ("increment", int),
     },
     "memory": {
-        "mode": ("memory_mode", _parse_str),
-        "budget": ("memory_budget", _parse_int),
-        "selection": ("memory_selection", _parse_str),
+        "mode": ("memory_mode", str.strip),
+        "budget": ("memory_budget", int),
+        "selection": ("memory_selection", str.strip),
     },
     "train": {
-        "epochs": ("epochs", _parse_int),
-        "batch_size": ("batch_size", _parse_int),
-        "lr": ("lr", _parse_float),
-        "momentum": ("sgd_momentum", _parse_float),
-        "distill_weight": ("distill_weight", _parse_float),
-        "distill_temperature": ("distill_temperature", _parse_float),
-        "variance_source": ("variance_source", _parse_str),
+        "epochs": ("epochs", int),
+        "batch_size": ("batch_size", int),
+        "lr": ("lr", float),
+        "momentum": ("sgd_momentum", float),
+        "distill_weight": ("distill_weight", float),
+        "distill_temperature": ("distill_temperature", float),
+        "variance_source": ("variance_source", str.strip),
         "hidden": ("hidden", _parse_int_list),
     },
     "balance": {
-        "m": ("m", _parse_float),
-        "m_prime": ("m_prime", _parse_float),
-        "beta": ("beta", _parse_float),
-        "tau": ("tau", _parse_float),
+        "m": ("m", float),
+        "m_prime": ("m_prime", float),
+        "beta": ("beta", float),
+        "tau": ("tau", float),
     },
     "run": {
         "variants": ("variants", _parse_str_list),
         "seeds": ("seeds", _parse_int_list),
-        "out": ("out", _parse_str),
+        "out": ("out", str.strip),
     },
 }
 
 
-# ExperimentConfig / TrainConfig field -> (section, key), for error messages
+# config attribute -> (section, key), for error messages
 _KEY_OF = {attr: (section, key) for section, keys in _SCHEMA.items() for key, (attr, _) in keys.items()}
-_KEY_OF["loss_variant"] = ("run", "variants")
 
 
 def protocol_error(exc: ProtocolError):
@@ -160,41 +162,29 @@ def protocol_error(exc: ProtocolError):
     return ConfigError(f"bad value for 'initial_classes' or 'increment' in [protocol]: {exc}")
 
 
-def validate(cfg: ExperimentConfig):
-    """Reject a config that could not run, naming the offending key.
+def _bad_value(attr, detail):
+    section, key = _KEY_OF[attr]
+    return ConfigError(f"bad value for '{key}' in [{section}]: {detail}")
 
-    The protocol and training checks are the ones ``split_phases`` and
-    ``TrainConfig`` apply at run time, run here for every variant.
-    """
-    if cfg.dataset_kind not in ("gaussian", "rings", "idx"):
-        raise ConfigError(f"unknown dataset kind {cfg.dataset_kind!r}")
-    if cfg.dataset_kind == "idx" and (not cfg.idx_images or not cfg.idx_labels):
-        raise ConfigError("dataset kind 'idx' needs both images and labels paths")
-    if cfg.memory_mode not in (PER_CLASS, GLOBAL):
-        raise ConfigError(f"unknown memory mode {cfg.memory_mode!r}")
-    if cfg.memory_selection not in (RANDOM, HERDING):
-        raise ConfigError(f"unknown memory selection {cfg.memory_selection!r}")
-    if not cfg.seeds:
-        raise ConfigError("at least one seed is required")
-    if min(cfg.seeds) < 0:
-        raise ConfigError(f"bad value for 'seeds' in [run]: seeds must be non-negative, got {min(cfg.seeds)}")
-    for key, values in (("variants", cfg.variants), ("seeds", cfg.seeds)):
-        repeated = sorted({v for v in values if values.count(v) > 1}, key=values.index)
-        if repeated:
-            listed = ", ".join(map(str, repeated))
-            raise ConfigError(f"bad value for '{key}' in [run]: {listed} listed more than once")
-    if cfg.dataset_kind != "idx":  # an idx file's class count is known only once it is read
-        try:
-            phase_sizes(cfg.classes, cfg.initial_classes, cfg.increment)
-        except ProtocolError as exc:
-            raise protocol_error(exc) from exc
-    for variant in cfg.variants:
-        try:
-            cfg.train_config(variant, cfg.seeds[0])
-        except SettingError as exc:
-            section, key = _KEY_OF[exc.name]
-            raise ConfigError(f"bad value for '{key}' in [{section}]: {exc}") from exc
-    return cfg
+
+def parse_value(attr, text):
+    """``text`` read by the parser of the config key that sets ``attr``."""
+    section, key = _KEY_OF[attr]
+    try:
+        return _SCHEMA[section][key][1](text)
+    except ValueError as exc:
+        raise _bad_value(attr, f"{text!r} ({exc})") from exc
+
+
+def checked(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """``replace(cfg, **overrides)``, with a rejected setting reported as a
+    config error that names its key."""
+    try:
+        return replace(cfg, **overrides)
+    except SettingError as exc:
+        raise _bad_value(exc.name, exc) from exc
+    except ProtocolError as exc:
+        raise protocol_error(exc) from exc
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -208,15 +198,11 @@ def parse_config(text) -> ExperimentConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            entry = _SCHEMA[section].get(key)
-            if entry is None:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            attr, parse = entry
-            try:
-                overrides[attr] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for '{key}' in [{section}]: {raw!r} ({exc})") from exc
-    return validate(replace(ExperimentConfig(), **overrides))
+            attr = _SCHEMA[section][key][0]
+            overrides[attr] = parse_value(attr, raw)
+    return checked(ExperimentConfig(), **overrides)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -37,7 +37,7 @@ from . import balance
 from .balance import ce_with_offset, checked_logits, log_softmax, weighted_ce
 from .data import LabeledSet, PhaseStream, concat_sets
 from .diagnostics import bound_report, destruction_report, hessian_top_eigen, metrics
-from .memory import ExemplarMemory, merged_training_set
+from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM, ExemplarMemory, merged_training_set
 from .seeding import BATCH, INIT, rng_for
 
 LOSS_CE = "ce"
@@ -47,6 +47,8 @@ LOSS_REWEIGHT = "reweight"
 LOSS_VARIANTS = (LOSS_CE, LOSS_CR, LOSS_BDR, LOSS_REWEIGHT)
 
 HEAD_INIT_SCALE = 0.01
+LR_DECAY = 0.1  # learning-rate factor over the last third of each phase's epochs
+LR_DECAY_POINT = 2.0 / 3.0
 
 
 class DivergenceError(RuntimeError):
@@ -54,15 +56,17 @@ class DivergenceError(RuntimeError):
 
 
 class SettingError(ValueError):
-    """A ``TrainConfig`` field holds an invalid value; ``name`` is the field."""
+    """A config field holds an invalid value; ``name`` is the field."""
 
     def __init__(self, name, message):
         super().__init__(message)
         self.name = name
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every per-run setting, checked once when the object is built."""
+
     epochs: int = 12
     batch_size: int = 32
     lr: float = 0.03
@@ -72,38 +76,40 @@ class TrainConfig:
     distill_weight: float = 1.0
     distill_temperature: float = 2.0
     hidden: tuple = (64, 64)
-    memory_mode: str = "per_class"
+    memory_mode: str = PER_CLASS
     memory_budget: int = 5
-    memory_selection: str = "herding"
+    memory_selection: str = HERDING
     m: float = 0.8
     m_prime: float = 0.8
     beta: float = 0.99
     tau: float = 1.0
     variance_source: str = "feature"
-    lr_decay: float = 0.1
-    lr_decay_point: float = 2.0 / 3.0
 
     def __post_init__(self):
+        temperature = self.distill_temperature
         checks = [
             ("lr", self.lr > 0, f"learning rate must be positive, got {self.lr}"),
             ("sgd_momentum", 0.0 <= self.sgd_momentum < 1.0, f"momentum must lie in [0, 1), got {self.sgd_momentum}"),
             ("distill_weight", self.distill_weight >= 0, f"distill weight must be non-negative, got {self.distill_weight}"),
-            ("batch_size", self.batch_size >= 1, f"batch size must be at least 1, got {self.batch_size}"),
-            ("epochs", self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}"),
-            (
-                "loss_variant",
-                self.loss_variant in LOSS_VARIANTS,
-                f"unknown loss variant {self.loss_variant!r}, expected one of {LOSS_VARIANTS}",
-            ),
-            (
-                "variance_source",
-                self.variance_source in ("feature", "logit"),
-                f"variance source must be 'feature' or 'logit', got {self.variance_source!r}",
-            ),
+            ("distill_temperature", temperature > 0, f"distill_temperature must be positive, got {temperature}"),
+            ("tau", self.tau >= 0, f"tau must be non-negative, got {self.tau}"),
+            ("hidden", all(h >= 1 for h in self.hidden), f"hidden widths must be at least 1, got {self.hidden}"),
         ]
+        for name in ("epochs", "batch_size", "memory_budget"):
+            value = getattr(self, name)
+            checks.append((name, value >= 1, f"{name} must be at least 1, got {value}"))
         for name in ("m", "m_prime", "beta"):
             value = getattr(self, name)
             checks.append((name, 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value}"))
+        choices = {
+            "loss_variant": LOSS_VARIANTS,
+            "variance_source": ("feature", "logit"),
+            "memory_mode": (PER_CLASS, GLOBAL),
+            "memory_selection": (HERDING, RANDOM),
+        }
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            checks.append((name, value in allowed, f"{name} must be one of {', '.join(allowed)}, got {value!r}"))
         for name, ok, message in checks:
             if not ok:
                 raise SettingError(name, message)
@@ -375,10 +381,10 @@ def train_phase(
     optimizer = SGD(model.params(), config.lr, config.sgd_momentum)
     rng = rng_for(config.seed, BATCH, phase_index)
     trace = StepTrace()
-    decay_from = math.ceil(config.epochs * config.lr_decay_point)
+    decay_from = math.ceil(config.epochs * LR_DECAY_POINT)
     step = 0
     for epoch in range(config.epochs):
-        optimizer.lr = config.lr * (config.lr_decay if epoch >= decay_from else 1.0)
+        optimizer.lr = config.lr * (LR_DECAY if epoch >= decay_from else 1.0)
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]

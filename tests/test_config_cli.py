@@ -1,12 +1,13 @@
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bdrlab.cli import main
-from bdrlab.config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, serialize_config
 from bdrlab.reporting import body_hash, read_report
 
 SMALL_CONFIG = """
@@ -65,6 +66,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             parse_config("[dataset\nkind = gaussian\n")
 
+    def test_as_dict_holds_exactly_the_config_keys(self):
+        attrs = [attr for keys in _SCHEMA.values() for attr, _ in keys.values()]
+        assert list(ExperimentConfig().as_dict()) == attrs
+        assert len(attrs) == 28
+
+    def test_train_config_keeps_every_setting(self):
+        cfg = parse_config(SMALL_CONFIG)
+        run = cfg.train_config("bdr", 3)
+        assert (run.loss_variant, run.seed) == ("bdr", 3)
+        assert replace(run, loss_variant=cfg.loss_variant, seed=cfg.seed) == cfg
+
 
 class TestCmdRun:
     def test_writes_one_report_per_variant_and_prints_summaries(self, tmp_path, capsys):
@@ -112,6 +124,21 @@ class TestCmdRun:
         # one line per pair, in (variant, seed) order, whatever the job count
         assert [tuple(line.split("\t")[:2]) for line in serial_lines] == [(v, str(s)) for v, s in pairs]
         assert parallel_lines == serial_lines
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, command, jobs):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG)
+        out = tmp_path / "out"
+        argv = [command, str(config_path), "--out", str(out), "--jobs", jobs]
+        if command == "sweep":
+            argv += ["--param", "m", "--values", "0.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_errors(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
@@ -185,6 +212,17 @@ class TestConfigErrorsAtParseTime:
             ({"seeds = 0": "seeds = -1"}, "'seeds' in [run]"),
             ({"seeds = 0": "seeds = 0, 1, 0"}, "'seeds' in [run]"),
             ({"variants = ce, bdr": "variants = ce, ce"}, "'variants' in [run]"),
+            ({"variants = ce, bdr": "variants = ce, focal"}, "'variants' in [run]"),
+            ({"budget = 3": "budget = 0"}, "'budget' in [memory]"),
+            ({"budget = 3": "mode = global\nbudget = 3"}, "'budget' in [memory]"),
+            ({"hidden = 12, 12": "hidden = 12, 12\ndistill_temperature = 0"}, "'distill_temperature' in [train]"),
+            ({"hidden = 12, 12": "hidden = 0"}, "'hidden' in [train]"),
+            ({"hidden = 12, 12": "hidden = 8, 0"}, "'hidden' in [train]"),
+            ({"per_class = 36": "per_class = 0"}, "'per_class' in [dataset]"),
+            ({"dim = 4": "dim = 1"}, "'dim' in [dataset]"),
+            ({"separation = 3.0": "separation = 0"}, "'separation' in [dataset]"),
+            ({"kind = gaussian": "kind = rings\nnoise = -1"}, "'noise' in [dataset]"),
+            ({"[run]": "[balance]\ntau = -1\n\n[run]"}, "'tau' in [balance]"),
         ],
         ids=[
             "negative_lr",
@@ -193,6 +231,17 @@ class TestConfigErrorsAtParseTime:
             "negative_seed",
             "duplicate_seed",
             "duplicate_variant",
+            "unknown_variant",
+            "zero_budget",
+            "global_budget_below_classes",
+            "zero_temperature",
+            "zero_hidden",
+            "zero_second_hidden",
+            "zero_per_class",
+            "one_dim",
+            "zero_separation",
+            "negative_ring_noise",
+            "negative_tau",
         ],
     )
     def test_run_rejects(self, tmp_path, capsys, edits, key):
@@ -209,8 +258,14 @@ class TestConfigErrorsAtParseTime:
 
     @pytest.mark.parametrize(
         "param, good, bad, key",
-        [("S", "2", "3", "'increment'"), ("m", "0.5", "1.5", "'m'")],
-        ids=["S", "m"],
+        [
+            ("S", "2", "3", "'increment'"),
+            ("m", "0.5", "1.5", "'m'"),
+            ("R", "2", "2.5", "'budget' in [memory]"),
+            ("R", "2", "0", "'budget' in [memory]"),
+            ("tau", "1.0", "-1", "'tau' in [balance]"),
+        ],
+        ids=["S", "m", "fractional_R", "zero_R", "negative_tau"],
     )
     def test_sweep_rejects(self, tmp_path, capsys, param, good, bad, key):
         config_path = tmp_path / "exp.cfg"
@@ -323,6 +378,14 @@ seeds = 0
         assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "[protocol]" in err and "cannot split 5 classes" in err
+
+    def test_global_budget_below_the_file_classes_is_a_config_error(self, tmp_path, capsys):
+        # 4 classes share a global budget of 3; known only once the file is read
+        config_path, _ = self._write_idx_config(tmp_path)
+        config_path.write_text(config_path.read_text().replace("budget = 2", "mode = global\nbudget = 3"))
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for 'budget' in [memory]")
 
     def test_truncated_idx_file_names_the_file(self, tmp_path, capsys):
         config_path, ipath = self._write_idx_config(tmp_path)

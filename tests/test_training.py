@@ -388,6 +388,21 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(m=1.5)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"memory_budget": 0},
+            {"memory_mode": "ring"},
+            {"tau": -1.0},
+            {"distill_temperature": 0.0},
+            {"hidden": (8, 0)},
+        ],
+        ids=["memory_budget", "memory_mode", "tau", "distill_temperature", "hidden"],
+    )
+    def test_bad_setting_names_its_field(self, change):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            TrainConfig(**change)
+
     @pytest.mark.parametrize("momentum", [-0.1, 1.0, 5.0])
     def test_sgd_momentum_outside_unit_interval(self, momentum):
         with pytest.raises(ValueError, match="momentum"):
