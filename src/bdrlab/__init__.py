@@ -37,6 +37,7 @@ from .data import (
 from .diagnostics import (
     BoundReport,
     DestructionReport,
+    TopEigen,
     cauchy_check,
     f_max,
     hessian_top_eigen,

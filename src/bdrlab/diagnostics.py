@@ -1,18 +1,22 @@
 """Measurements of the old-knowledge destruction transient.
 
-Pure functions over recorded traces plus the curvature machinery behind the
+Pure functions over recorded traces plus the curvature estimate behind the
 peak-forgetting bound: the peak is bounded by
 (N_s / 2) * lr^2 * sigma_max(sum of old-phase Hessians) * sum of squared
 gradient norms up to the peak, with equality in the underlying gradient
 decomposition exactly when new-class and old-class contributions match.
+sigma_max is taken by Lanczos on Hessian-vector products, as PyHessian does
+(Yao et al. 2020, arXiv:1912.07145).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 
 def f_max(old_loss_trace):
@@ -123,44 +127,59 @@ def destruction_report(old_losses, epochs):
     )
 
 
-def hessian_top_eigen(grad_fn, theta, iters=200, tol=1e-3, fd_step=1e-4, seed=0):
-    """Dominant curvature at ``theta`` by power iteration on Hessian-vector
-    products taken as central finite differences of ``grad_fn``.
+class TopEigen(NamedTuple):
+    """The top Ritz value, whether it met the tolerance, the Hessian-vector
+    products taken and the residual ||Hy - value * y|| at its unit vector y."""
 
-    Converged once successive Rayleigh quotients differ by less than ``tol``;
-    otherwise warns and returns the last estimate. The warning names the
-    estimate and its last change, so each non-converged estimate prints
-    under Python's default once-per-text filter.
+    value: float
+    converged: bool
+    hvps: int
+    residual: float
+
+
+def hessian_top_eigen(hvp, size, tol=1e-6, max_iter=200, seed=0):
+    """Largest algebraic eigenvalue of the symmetric operator ``hvp`` on
+    vectors of length ``size`` by the Lanczos three-term recurrence from a
+    start vector drawn from ``seed``, holding three vectors.
+
+    After step k the top Ritz value theta of T_k, with unit eigenvector s,
+    has residual beta_k * |s_k|: converged once that is at most
+    ``tol * |theta|``, or when beta_k = 0. Otherwise warns, naming the
+    estimate and its residual so each one prints under Python's default
+    once-per-text filter, and returns the last estimate.
     """
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(theta.size)
+    v = np.random.default_rng(seed).standard_normal(size)
     v /= np.linalg.norm(v)
-    rayleigh = None
-    change = float("nan")
-    for _ in range(iters):
-        hv = (grad_fn(theta + fd_step * v) - grad_fn(theta - fd_step * v)) / (2.0 * fd_step)
-        current = float(v @ hv)
-        norm = float(np.linalg.norm(hv))
-        if norm == 0.0:
-            return 0.0
-        v = hv / norm
-        if rayleigh is not None:
-            change = abs(current - rayleigh)
-            if change < tol:
-                return current
-        rayleigh = current
+    v_prev = np.zeros(size)
+    alphas, betas = [], []
+    beta = 0.0
+    theta = change = residual = float("nan")
+    for step in range(1, max_iter + 1):
+        w = hvp(v) - beta * v_prev
+        alphas.append(float(v @ w))
+        w -= alphas[-1] * v
+        beta = float(np.linalg.norm(w))
+        ritz, vectors = eigh_tridiagonal(alphas, betas)
+        change = abs(ritz[-1] - theta)
+        theta, residual = float(ritz[-1]), beta * abs(float(vectors[-1, -1]))
+        if beta == 0.0 or residual <= tol * abs(theta):
+            return TopEigen(theta, True, step, residual)
+        betas.append(beta)
+        v_prev, v = v, w / beta
     warnings.warn(
-        f"power iteration did not converge within {iters} iterations; returning last estimate "
-        f"{rayleigh!r} (last change {change:.3e}, tolerance {tol:.0e})",
+        f"Lanczos did not converge within {max_iter} steps; returning last estimate {theta!r} "
+        f"(last change {change:.3e}, residual {residual:.3e}, relative tolerance {tol:.0e})",
         RuntimeWarning,
     )
-    return rayleigh
+    return TopEigen(theta, False, max_iter, residual)
 
 
 @dataclass
 class BoundReport:
     sigma_max: float
+    sigma_converged: bool
+    sigma_hvps: int
+    sigma_residual: float
     grad_sq_sum_to_peak: float
     bound: float
     f_max: float
@@ -170,16 +189,10 @@ class BoundReport:
     min_cauchy_gap: float
 
     def as_dict(self):
-        return {
-            "sigma_max": self.sigma_max,
-            "grad_sq_sum_to_peak": self.grad_sq_sum_to_peak,
-            "bound": self.bound,
-            "f_max": self.f_max,
-            "bound_minus_f_max": self.bound_minus_f_max,
-            "cauchy_lhs": [float(v) for v in self.cauchy_lhs],
-            "cauchy_rhs": [float(v) for v in self.cauchy_rhs],
-            "min_cauchy_gap": self.min_cauchy_gap,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["cauchy_lhs"] = [float(v) for v in self.cauchy_lhs]
+        out["cauchy_rhs"] = [float(v) for v in self.cauchy_rhs]
+        return out
 
 
 def peak_bound(steps_to_peak, lr, sigma_max, grad_sq_sum):
@@ -187,8 +200,9 @@ def peak_bound(steps_to_peak, lr, sigma_max, grad_sq_sum):
     return 0.5 * steps_to_peak * lr * lr * sigma_max * grad_sq_sum
 
 
-def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, sigma_max):
-    """Assemble the per-phase bound evaluation from recorded step data.
+def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, curvature):
+    """Assemble the per-phase bound evaluation from recorded step data and
+    the old-phase curvature estimate (a ``TopEigen``).
 
     The unknown additive constant in the bound is not estimated, so the
     margin ``bound_minus_f_max`` is reported, never asserted.
@@ -198,11 +212,14 @@ def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, sigm
     inner = np.asarray(contrib_inner, dtype=np.float64)
     n = np.asarray(batch_sizes, dtype=np.float64)
     grad_sum = float(gsq[:peak_step].sum())
-    bound = peak_bound(peak_step, lr, sigma_max, grad_sum)
+    bound = peak_bound(peak_step, lr, curvature.value, grad_sum)
     rhs = 4.0 * inner / (n * n)
     gaps = gsq - rhs
     return BoundReport(
-        sigma_max=float(sigma_max),
+        sigma_max=curvature.value,
+        sigma_converged=curvature.converged,
+        sigma_hvps=curvature.hvps,
+        sigma_residual=curvature.residual,
         grad_sq_sum_to_peak=grad_sum,
         bound=float(bound),
         f_max=rise,

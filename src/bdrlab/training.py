@@ -36,7 +36,7 @@ import numpy as np
 from . import balance
 from .balance import ce_with_offset, checked_logits, log_softmax, weighted_ce
 from .data import LabeledSet, PhaseStream, concat_sets
-from .diagnostics import bound_report, destruction_report, hessian_top_eigen, metrics
+from .diagnostics import TopEigen, bound_report, destruction_report, hessian_top_eigen, metrics
 from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM, ExemplarMemory, merged_training_set
 from .seeding import BATCH, INIT, rng_for
 
@@ -158,14 +158,15 @@ class Classifier:
         out.extend((self.head_w, self.head_b))
         return out
 
-    def forward(self, x):
-        """Numpy forward pass over a batch of rows, kept for ``backward``."""
+    def forward(self, x, frozen=None):
+        """Numpy forward pass over a batch of rows, kept for ``backward``;
+        ``frozen`` ReLU masks, one per hidden layer, replace the computed ones."""
         h = np.asarray(x, dtype=np.float64)
         inputs, masks = [], []
-        for w, b in self.layers:
+        for i, (w, b) in enumerate(self.layers):
             inputs.append(h)
             a = h @ w + b
-            mask = a > 0.0  # subgradient at exactly 0 is 0
+            mask = a > 0.0 if frozen is None else frozen[i]  # subgradient at exactly 0 is 0
             masks.append(mask)
             h = np.where(mask, a, 0.0)
         inputs.append(h)
@@ -292,13 +293,6 @@ class BalanceState:
 
 def _flatten(arrays):
     return np.concatenate([a.ravel() for a in arrays])
-
-
-def _set_flat_params(model, vec):
-    offset = 0
-    for p in model.params():
-        p[...] = vec[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
 
 
 def _variant_loss_fn(variant, k, labels, schedule):
@@ -446,25 +440,54 @@ def train_phase(
     return model, trace
 
 
-def _old_phase_curvature(model, old_sets, iters=150, tol=1e-2, seed=0):
-    """Top eigenvalue of the summed old-phase Hessians at the model's current
-    parameters, via finite-difference Hessian-vector products."""
-    theta = _flatten(model.params())
+def _old_phase_hvp(model, old_sets):
+    """Exact Hessian-vector products, over flat vectors in ``params()`` order,
+    of the summed old-phase mean cross-entropies at the model's parameters,
+    which are only read. Pearlmutter's R-operator (1994): each product is one
+    R-forward and one R-backward pass over a forward and backward pass per
+    phase cached here. ReLU'' = 0 almost everywhere, so the masks enter as
+    constants, and R(input) = 0 drops the first layer's two products with it.
+    """
+    weights = [w for w, _ in model.layers] + [model.head_w]
+    params = model.params()
+    splits = np.cumsum([p.size for p in params])[:-1]
+    cache = []
+    for phase_set in old_sets:
+        acts = model.forward(phase_set.features)
+        _, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), phase_set.labels)
+        _, deltas = model.backward(acts, dlogits)
+        probs = np.exp(log_softmax(acts.logits))
+        cache.append((acts, deltas, probs, 1.0 / phase_set.n))
 
-    def grad_fn(vec):
-        _set_flat_params(model, vec)
-        total = None
-        for phase_set in old_sets:
-            acts = model.forward(phase_set.features)
-            _, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), phase_set.labels)
-            grads, _ = model.backward(acts, dlogits)
-            # summed phase by phase
-            total = grads if total is None else [a + b for a, b in zip(total, grads)]
-        return _flatten(total)
+    def hvp(vec):
+        out = np.zeros_like(vec)
+        hv = [part.reshape(p.shape) for part, p in zip(np.split(out, splits), params)]
+        dirs = [part.reshape(p.shape) for part, p in zip(np.split(vec, splits), params)]
+        for acts, deltas, probs, scale in cache:
+            r_in = [None]  # R of each layer's input
+            for i, w in enumerate(weights):
+                r_a = acts.inputs[i] @ dirs[2 * i] + dirs[2 * i + 1]
+                if i > 0:
+                    r_a += r_in[i] @ w
+                if i < len(acts.masks):
+                    r_in.append(r_a * acts.masks[i])
+            # R of the logit gradient (p - onehot) / n: the softmax Jacobian times R(z)
+            r_g = (probs * (r_a - (probs * r_a).sum(axis=1, keepdims=True))) * scale
+            for i in reversed(range(len(weights))):
+                hv[2 * i] += acts.inputs[i].T @ r_g
+                hv[2 * i + 1] += r_g.sum(axis=0)
+                if i > 0:
+                    hv[2 * i] += r_in[i].T @ deltas[i]
+                    r_g = (r_g @ weights[i].T + deltas[i] @ dirs[2 * i].T) * acts.masks[i - 1]
+        return out
 
-    sigma = hessian_top_eigen(grad_fn, theta, iters=iters, tol=tol, seed=seed)
-    _set_flat_params(model, theta)
-    return sigma
+    return hvp
+
+
+def _old_phase_curvature(model, old_sets, seed=0):
+    """Top eigenvalue of the summed old-phase Hessians at the model's
+    parameters: Lanczos on exact Hessian-vector products, as a ``TopEigen``."""
+    return hessian_top_eigen(_old_phase_hvp(model, old_sets), _flatten(model.params()).size, seed=seed)
 
 
 def _evaluate(model, stream: PhaseStream, phase):
@@ -501,7 +524,7 @@ class FirstPhase:
     memory: ExemplarMemory
     trace: StepTrace
     entry: dict  # the phase-0 report entry
-    sigma_max: float | None  # phase 1's old-phase curvature; None with one phase
+    sigma_max: TopEigen | None  # phase 1's old-phase curvature estimate; None with one phase
 
 
 def _phase_entry(stream, t, train_set, accuracy):
@@ -534,7 +557,7 @@ def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
     entry = _phase_entry(stream, 0, phase, _evaluate(model, stream, 0))
     sigma_max = None
     if len(stream.phases) > 1:
-        sigma_max = _old_phase_curvature(model.copy(), stream.phases[:1], seed=config.seed)
+        sigma_max = _old_phase_curvature(model, stream.phases[:1], seed=config.seed)
     return FirstPhase(config, model, memory, trace, entry, sigma_max)
 
 
@@ -566,7 +589,7 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
         if t == 1:
             sigma_max = start.sigma_max
         else:
-            sigma_max = _old_phase_curvature(model.copy(), stream.phases[:t], seed=config.seed)
+            sigma_max = _old_phase_curvature(model, stream.phases[:t], seed=config.seed)
         teacher = model.copy()
         model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
         train_set = merged_training_set(memory, phase)

@@ -2,8 +2,9 @@
 
 Each check is an independent oracle: finite differences against the
 closed-form loss gradients and the classifier's backward pass, closed forms
-against those gradients, exhaustive identities on random inputs, and an
-analytic quadratic toy where the peak-forgetting bound must hold with no
+against those gradients, exhaustive identities on random inputs, a dense
+frozen-mask Hessian against the exact curvature estimate, and an analytic
+quadratic toy where the peak-forgetting bound must hold with no
 slack term.
 """
 
@@ -15,9 +16,10 @@ import numpy as np
 
 from . import balance
 from .balance import ce_with_offset, weighted_ce
+from .data import LabeledSet
 from .diagnostics import cauchy_check, f_max, hessian_top_eigen
-from .tensor import Tensor, finite_diff_check, matmul
-from .training import Classifier, _flatten, _set_flat_params, distill_loss
+from .tensor import finite_diff_check
+from .training import Classifier, _flatten, _old_phase_hvp, distill_loss
 
 
 @dataclass
@@ -27,13 +29,21 @@ class CheckResult:
     detail: str
 
 
-def _net_loss(model, x, labels):
+def _set_flat_params(model, vec):
+    offset = 0
+    for p in model.params():
+        p[...] = vec[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+
+
+def _net_loss(model, x, labels, frozen=None):
     """Cross-entropy of a classifier as a function of its flat parameters,
-    with the gradient from ``Classifier.backward``."""
+    with the gradient from ``Classifier.backward``; ``frozen`` fixes the
+    ReLU masks."""
 
     def f(theta):
         _set_flat_params(model, theta)
-        acts = model.forward(x)
+        acts = model.forward(x, frozen)
         value, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), labels)
         grads, _ = model.backward(acts, dlogits)
         return value, _flatten(grads)
@@ -190,34 +200,60 @@ def check_balanced_risk(problems=50, seed=3):
     )
 
 
-def _quadratic_grad_fn(matrix):
-    def grad_fn(vec):
-        leaf = Tensor(vec[None, :].copy(), requires_grad=True)
-        (0.5 * (matmul(leaf, matrix) * leaf).sum()).backward()
-        return leaf.grad.ravel().copy()
-
-    return grad_fn
-
-
 def _random_psd(rng, dim):
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     eigenvalues = rng.uniform(0.1, 10.0, dim)
     return (basis * eigenvalues) @ basis.T, eigenvalues.max()
 
 
-def check_hessian_estimator(problems=20, seed=4, tol=1e-3):
-    """Power iteration within relative tolerance of the exact top eigenvalue."""
+def kinked_relu_problem(seed=8):
+    """A ReLU net (hidden 12, 12) and two old phases of 25 and 24 rows; each
+    hidden bias is minus the unit's median pre-activation over the 49 rows,
+    which puts one row on every unit's kink."""
+    rng = np.random.default_rng(seed)
+    net = Classifier(4, (12, 12), 3, rng)
+    net.head_w = rng.normal(0.0, 1.0, net.head_w.shape)
+    sets = [LabeledSet(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3) for n in (25, 24)]
+    h = np.concatenate([s.features for s in sets])
+    for w, b in net.layers:
+        b[...] = -np.median(h @ w, axis=0)
+        h = np.maximum(h @ w + b, 0.0)
+    return net, sets
+
+
+def frozen_mask_hessian(model, old_sets, step=1e-5):
+    """Dense Hessian of the summed old-phase cross-entropies by central
+    differences of the closed-form gradient, with every ReLU mask frozen at
+    the model's parameters, so no difference crosses a kink."""
+    probe, theta = model.copy(), _flatten(model.params())
+    losses = [_net_loss(probe, s.features, s.labels, model.forward(s.features).masks) for s in old_sets]
+    grad = lambda vec: sum(loss(vec)[1] for loss in losses)
+    return np.stack([(grad(theta + step * e) - grad(theta - step * e)) / (2.0 * step) for e in np.eye(theta.size)], 1)
+
+
+def check_hessian_estimator(problems=20, seed=4, tol=1e-3, kink_tol=1e-6):
+    """Lanczos within ``tol`` of the top eigenvalue of PSD quadratics; on the
+    kinked ReLU net, exact Hessian-vector products within ``kink_tol`` of the
+    dense frozen-mask Hessian, column by column, and of its top eigenvalue."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(problems):
         dim = int(rng.integers(2, 21))
         matrix, top = _random_psd(rng, dim)
-        estimate = hessian_top_eigen(
-            _quadratic_grad_fn(matrix), np.zeros(dim), iters=5000, tol=1e-10, seed=int(rng.integers(1 << 31))
-        )
-        worst = max(worst, abs(estimate - top) / top)
+        estimate = hessian_top_eigen(lambda v: matrix @ v, dim, tol=1e-10, max_iter=5000, seed=int(rng.integers(1 << 31)))
+        worst = max(worst, abs(estimate.value - top) / top)
+    net, sets = kinked_relu_problem()
+    dense = frozen_mask_hessian(net, sets)
+    hvp = _old_phase_hvp(net, sets)
+    columns = np.stack([hvp(e) for e in np.eye(dense.shape[0])], 1)
+    column_err = np.abs(columns - dense).max() / np.abs(dense).max()
+    top = np.linalg.eigvalsh(dense).max()
+    kink_err = abs(hessian_top_eigen(hvp, dense.shape[0], seed=seed).value - top) / abs(top)
     return CheckResult(
-        "curvature estimator", worst < tol, f"{problems} quadratics, max relative error {worst:.3e}"
+        "curvature estimator",
+        bool(worst < tol and column_err < kink_tol and kink_err < kink_tol),
+        f"{problems} quadratics, max relative error {worst:.3e}; kinked ReLU net: Hessian columns "
+        f"within {column_err:.1e}, top eigenvalue within {kink_err:.1e}",
     )
 
 
@@ -242,9 +278,7 @@ def check_toy_bound(problems=10, seed=5):
             theta = theta - lr * grad
             old_losses.append(0.5 * float(theta @ old_hessian @ theta))
         rise, peak = f_max(old_losses)
-        sigma = hessian_top_eigen(
-            _quadratic_grad_fn(old_hessian), np.zeros(dim), iters=5000, tol=1e-10, seed=seed
-        )
+        sigma = hessian_top_eigen(lambda v: old_hessian @ v, dim, tol=1e-10, max_iter=5000, seed=seed).value
         bound = 0.5 * peak * lr * lr * sigma * float(np.sum(grad_sq[:peak]))
         margin = bound - rise
         ok = ok and margin >= -1e-9 * max(1.0, bound)

@@ -113,19 +113,19 @@ class TestOldLossDistribution:
 class TestHessianTopEigen:
     def test_identity_hessian(self):
         grad_fn = lambda v: v.copy()  # loss 0.5 ||v||^2
-        assert hessian_top_eigen(grad_fn, np.zeros(4), iters=500, tol=1e-9) == pytest.approx(1.0, abs=1e-3)
+        assert hessian_top_eigen(grad_fn, 4, max_iter=500, tol=1e-9).value == pytest.approx(1.0, abs=1e-3)
 
     def test_diagonal_closed_form(self):
         scale = np.array([1.0, 3.0])
         grad_fn = lambda v: scale * v
-        assert hessian_top_eigen(grad_fn, np.zeros(2), iters=2000, tol=1e-10) == pytest.approx(3.0, abs=1e-3)
+        assert hessian_top_eigen(grad_fn, 2, max_iter=2000, tol=1e-10).value == pytest.approx(3.0, abs=1e-3)
 
     def test_additivity_of_summed_quadratics(self):
         # two quadratics with top eigenvalues 1 and 2 on the same axis
         a = np.diag([1.0, 0.2])
         b = np.diag([2.0, 0.1])
         grad_fn = lambda v: (a + b) @ v
-        assert hessian_top_eigen(grad_fn, np.zeros(2), iters=2000, tol=1e-10) == pytest.approx(3.0, abs=1e-3)
+        assert hessian_top_eigen(grad_fn, 2, max_iter=2000, tol=1e-10).value == pytest.approx(3.0, abs=1e-3)
 
     def test_through_autodiff_gradients(self):
         rng = np.random.default_rng(2)
@@ -142,7 +142,7 @@ class TestHessianTopEigen:
             (0.5 * (matmul(leaf, matrix) * leaf).sum()).backward()
             return leaf.grad.ravel()
 
-        assert hessian_top_eigen(grad_fn, np.zeros(6), iters=3000, tol=1e-10) == pytest.approx(5.0, rel=1e-3)
+        assert hessian_top_eigen(grad_fn, 6, max_iter=3000, tol=1e-10).value == pytest.approx(5.0, rel=1e-3)
 
     def test_random_psd_battery(self):
         rng = np.random.default_rng(3)
@@ -151,32 +151,55 @@ class TestHessianTopEigen:
             q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
             eig = rng.uniform(0.1, 10.0, dim)
             matrix = (q * eig) @ q.T
-            est = hessian_top_eigen(lambda v: matrix @ v, np.zeros(dim), iters=5000, tol=1e-10, seed=int(rng.integers(1 << 31)))
+            est = hessian_top_eigen(lambda v: matrix @ v, dim, max_iter=5000, tol=1e-10, seed=int(rng.integers(1 << 31))).value
             assert est == pytest.approx(eig.max(), rel=1e-3)
 
     def test_nonconvergence_warns_and_returns_estimate(self):
-        matrix = np.diag([2.0, 1.0])
+        matrix = np.diag([2.0, *np.linspace(0.0, 1.0, 99)])
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            estimate = hessian_top_eigen(lambda v: matrix @ v, np.zeros(2), iters=50, tol=0.0)
+            estimate = hessian_top_eigen(lambda v: matrix @ v, 100, max_iter=10, tol=0.0).value
         assert estimate == pytest.approx(2.0, abs=1e-6)
 
     def test_warning_names_the_estimate_and_its_last_change(self):
-        matrix = np.diag([2.0, 1.0])
+        matrix = np.diag([2.0, 1.0, 0.5])
         with pytest.warns(RuntimeWarning) as caught:
-            estimate = hessian_top_eigen(lambda v: matrix @ v, np.zeros(2), iters=5, tol=0.0)
+            estimate = hessian_top_eigen(lambda v: matrix @ v, 3, max_iter=2, tol=0.0).value
         text = str(caught[0].message)
-        assert text.startswith("power iteration did not converge within 5 iterations")
+        assert text.startswith("Lanczos did not converge within 2 steps")
         assert f"last estimate {estimate!r} (last change " in text
 
     def test_every_nonconverged_estimate_warns_under_the_default_filter(self):
         # the default filter prints a given text once per code location, so
         # two different estimates must give two different texts
-        matrix = np.diag([2.0, 1.0])
+        matrix = np.diag([2.0, 1.0, 0.5])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            for iters in (5, 6):
-                hessian_top_eigen(lambda v: matrix @ v, np.zeros(2), iters=iters, tol=0.0)
-        assert [str(w.message).startswith("power iteration did not converge") for w in caught] == [True, True]
+            for iters in (1, 2):
+                hessian_top_eigen(lambda v: matrix @ v, 3, max_iter=iters, tol=0.0)
+        assert [str(w.message).startswith("Lanczos did not converge") for w in caught] == [True, True]
+
+    def test_indefinite_operator_gives_the_largest_algebraic_eigenvalue(self):
+        # power iteration returned -5, the eigenvalue of largest magnitude
+        matrix = np.diag([-5.0, 3.0, 1.0])
+        estimate = hessian_top_eigen(lambda v: matrix @ v, 3)
+        assert estimate.converged
+        assert estimate.value == pytest.approx(3.0, rel=1e-12)
+
+    def test_estimate_records_its_hvps_and_residual(self):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        matrix = (q * np.linspace(-2.0, 7.0, 30)) @ q.T
+        calls = []
+        estimate = hessian_top_eigen(lambda v: calls.append(1) or matrix @ v, 30, tol=1e-8, seed=5)
+        assert estimate.converged and estimate.hvps == len(calls) < 30
+        assert estimate.value == pytest.approx(7.0, rel=1e-12)
+        assert 0.0 < estimate.residual <= 1e-8 * 7.0
+
+    def test_nonconverged_estimate_is_recorded(self):
+        matrix = np.diag([2.0, 1.0, 0.5])
+        with pytest.warns(RuntimeWarning, match="residual"):
+            estimate = hessian_top_eigen(lambda v: matrix @ v, 3, max_iter=1, tol=0.0)
+        assert not estimate.converged and estimate.hvps == 1 and estimate.residual > 0.0
 
 
 class TestDestructionReport:

@@ -15,12 +15,15 @@ from bdrlab.training import (
     TrainConfig,
     _contribution_sums,
     _flatten,
+    _old_phase_curvature,
+    _old_phase_hvp,
     _variant_loss_fn,
     distill_loss,
     first_phase,
     run_experiment,
     train_phase,
 )
+from bdrlab.verification import frozen_mask_hessian, kinked_relu_problem
 
 
 def small_config(**overrides):
@@ -304,6 +307,15 @@ class TestRunExperiment:
         assert entry["bound"]["min_cauchy_gap"] >= -1e-8
         assert len(entry["bound"]["cauchy_lhs"]) == len(entry["bound"]["cauchy_rhs"])
 
+    def test_bound_records_how_the_curvature_estimate_ended(self):
+        stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=8), 2, 2, seed=8)
+        report = run_experiment(stream, small_config()).report
+        for entry in report["phases"][1:]:
+            bound = entry["bound"]
+            assert bound["sigma_converged"] is True
+            assert isinstance(bound["sigma_hvps"], int) and bound["sigma_hvps"] >= 1
+            assert 0.0 <= bound["sigma_residual"] <= 1e-6 * abs(bound["sigma_max"])
+
     def test_reweight_variant_runs(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=9), 2, 2, seed=9)
         report = run_experiment(stream, small_config(loss_variant="reweight")).report
@@ -373,6 +385,53 @@ class TestSharedFirstPhase:
         assert shared.report == alone.report
         assert len(shared.report["phases"]) == 1
         assert shared.report["variant"] == "bdr"
+
+
+class TestOldPhaseCurvature:
+    """Exact Hessian-vector products on a ReLU net (hidden 12, 12) at a point
+    where every hidden unit has a row on its kink."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        net, sets = kinked_relu_problem()
+        return net, sets, _old_phase_hvp(net, sets), frozen_mask_hessian(net, sets)
+
+    def test_point_sits_on_kinks(self, problem):
+        net, sets, _, _ = problem
+        on_kink = 0
+        for s in sets:
+            acts = net.forward(s.features)
+            on_kink += sum(int((h @ w + b == 0.0).sum()) for h, (w, b) in zip(acts.inputs, net.layers))
+        assert on_kink >= 12
+
+    def test_hvp_is_symmetric(self, problem):
+        net, _, hvp, _ = problem
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            u, v = rng.standard_normal((2, _flatten(net.params()).size))
+            hu, hv = hvp(u), hvp(v)
+            scale = np.linalg.norm(u) * np.linalg.norm(hv) + np.linalg.norm(v) * np.linalg.norm(hu)
+            assert abs(u @ hv - v @ hu) <= 1e-12 * scale
+
+    def test_hvp_equals_the_frozen_mask_hessian_column_by_column(self, problem):
+        _, _, hvp, dense = problem
+        atol = 1e-6 * np.abs(dense).max()
+        for j, unit in enumerate(np.eye(dense.shape[0])):
+            np.testing.assert_allclose(hvp(unit), dense[:, j], rtol=0.0, atol=atol)
+
+    def test_lanczos_equals_the_dense_top_eigenvalue(self, problem):
+        net, sets, _, dense = problem
+        estimate = _old_phase_curvature(net, sets)
+        assert estimate.converged
+        assert estimate.value == pytest.approx(np.linalg.eigvalsh(dense).max(), rel=1e-6)
+
+    def test_parameters_are_only_read(self):
+        stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=17), 2, 2, seed=17)
+        start = first_phase(stream, small_config())
+        model = start.model.copy()
+        before = [p.copy() for p in model.params()]
+        _old_phase_curvature(model, stream.phases[:1], seed=0)
+        assert all(np.array_equal(p, q) for p, q in zip(model.params(), before))
 
 
 class TestTrainConfigValidation:
