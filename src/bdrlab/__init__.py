@@ -10,6 +10,7 @@ independent reference for those gradients.
 
 from .balance import (
     ClassStats,
+    DegenerateTrainingError,
     OffsetSchedule,
     bal_ce_loss,
     bdr_loss,
@@ -17,7 +18,6 @@ from .balance import (
     class_priors,
     compensation,
     init_schedule,
-    balanced_risk_equivalence,
     momentum_update,
     offsets,
     scalar_variance,

@@ -19,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+from .balance import DegenerateTrainingError
 from .config import ConfigError, ExperimentConfig, checked, load_config, parse_value, protocol_error
 from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, split_phases
 from .memory import MemoryConfigError
@@ -234,6 +235,9 @@ def main(argv=None):
         return 2
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
+    except DegenerateTrainingError as exc:
+        print(f"training degenerated: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

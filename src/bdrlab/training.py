@@ -457,28 +457,29 @@ def _old_phase_hvp(model, old_sets):
         _, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), phase_set.labels)
         _, deltas = model.backward(acts, dlogits)
         probs = np.exp(log_softmax(acts.logits))
-        cache.append((acts, deltas, probs, 1.0 / phase_set.n))
+        # the products never read the first layer's delta or the logits
+        cache.append((acts.inputs, acts.masks, deltas[1:], probs, 1.0 / phase_set.n))
 
     def hvp(vec):
         out = np.zeros_like(vec)
         hv = [part.reshape(p.shape) for part, p in zip(np.split(out, splits), params)]
         dirs = [part.reshape(p.shape) for part, p in zip(np.split(vec, splits), params)]
-        for acts, deltas, probs, scale in cache:
+        for inputs, masks, deltas, probs, scale in cache:
             r_in = [None]  # R of each layer's input
             for i, w in enumerate(weights):
-                r_a = acts.inputs[i] @ dirs[2 * i] + dirs[2 * i + 1]
+                r_a = inputs[i] @ dirs[2 * i] + dirs[2 * i + 1]
                 if i > 0:
                     r_a += r_in[i] @ w
-                if i < len(acts.masks):
-                    r_in.append(r_a * acts.masks[i])
+                if i < len(masks):
+                    r_in.append(r_a * masks[i])
             # R of the logit gradient (p - onehot) / n: the softmax Jacobian times R(z)
             r_g = (probs * (r_a - (probs * r_a).sum(axis=1, keepdims=True))) * scale
             for i in reversed(range(len(weights))):
-                hv[2 * i] += acts.inputs[i].T @ r_g
+                hv[2 * i] += inputs[i].T @ r_g
                 hv[2 * i + 1] += r_g.sum(axis=0)
                 if i > 0:
-                    hv[2 * i] += r_in[i].T @ deltas[i]
-                    r_g = (r_g @ weights[i].T + deltas[i] @ dirs[2 * i].T) * acts.masks[i - 1]
+                    hv[2 * i] += r_in[i].T @ deltas[i - 1]
+                    r_g = (r_g @ weights[i].T + deltas[i - 1] @ dirs[2 * i].T) * masks[i - 1]
         return out
 
     return hvp

@@ -10,13 +10,12 @@ from bdrlab.balance import (
     class_priors,
     compensation,
     init_schedule,
-    balanced_risk_equivalence,
     momentum_update,
     offsets,
-    risk_decision_rule,
     scalar_variance,
     stats_from_pass,
 )
+from bdrlab.verification import balanced_risk_equivalence, risk_decision_rule
 
 
 class TestClassPriors:

@@ -1,14 +1,20 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bdrlab
 from bdrlab.cli import main
 from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, serialize_config
 from bdrlab.reporting import body_hash, read_report
+
+BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 
 SMALL_CONFIG = """
 [dataset]
@@ -149,6 +155,31 @@ class TestCmdRun:
         config_path.write_text("[memoryy]\nbudget = 1\n")
         assert main(["run", str(config_path)]) == 2
         assert "memoryy" in capsys.readouterr().err
+
+    def test_dead_network_is_one_line_and_exit_one(self, tmp_path, capsys):
+        # lr = 0.5 kills the last hidden layer in phase 0, so every class's feature variance is zero
+        text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 0.5")
+        text = text.replace("seeds = 0, 1, 2, 3, 4", "seeds = 0")
+        config_path = tmp_path / "dead.cfg"
+        config_path.write_text(text)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training degenerated: all-zero variances")
+
+    def test_run_never_imports_scipy_optimize(self, tmp_path):
+        # only the balanced-risk oracle behind `verify` needs scipy.optimize
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG)
+        script = (
+            "import sys\nfrom bdrlab.cli import main\n"
+            f"code = main(['run', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print('scipy.optimize' in sys.modules)\nsys.exit(code)\n"
+        )
+        src = os.path.dirname(os.path.dirname(bdrlab.__file__))
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_report_body_schema(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
