@@ -9,6 +9,10 @@ them. ``--jobs`` runs seeds in parallel, so workers beyond the number of
 seeds sit idle. ``sweep`` repeats that across values of one parameter and
 aggregates a CSV. ``verify`` runs the oracle battery and exits non-zero on
 any failure.
+
+A pair whose training diverges or degenerates ends the run at its seed:
+the summaries of the pairs that finished are printed first, then one error
+line naming the failed pair, and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -113,29 +117,48 @@ def _summary_line(summary):
 
 
 def _run_seed(cfg: ExperimentConfig, seed, out_dir):
-    """Every variant of one seed, from one shared first phase."""
+    """Every variant of one seed, from one shared first phase, until one ends
+    in a typed training failure. Returns the finished summaries and that
+    failure (or None), tagged with its ``pair``."""
     seed_start = {}
-    return [run_single(cfg, variant, seed, out_dir, seed_start) for variant in cfg.variants]
+    summaries = []
+    for variant in cfg.variants:
+        try:
+            summaries.append(run_single(cfg, variant, seed, out_dir, seed_start))
+        except (DivergenceError, DegenerateTrainingError) as exc:
+            exc.pair = (variant, seed)
+            return summaries, exc
+    return summaries, None
 
 
 def _execute(cfg: ExperimentConfig, out_dir, jobs):
-    """Run every (variant, seed) pair, one task per seed; summaries come back
-    in (variant, seed) order."""
+    """Run every (variant, seed) pair, one task per seed, up to the first seed
+    with a failed pair. Returns the finished pairs' summaries in (variant,
+    seed) order and that failure (or None)."""
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_seed, cfg, seed, out_dir) for seed in cfg.seeds]
-            per_seed = [f.result() for f in futures]
+            results = [f.result() for f in futures]
     else:
-        per_seed = [_run_seed(cfg, seed, out_dir) for seed in cfg.seeds]
-    return [runs[i] for i in range(len(cfg.variants)) for runs in per_seed]
+        results = (_run_seed(cfg, seed, out_dir) for seed in cfg.seeds)  # lazy: none runs after a failure
+    per_seed, failure = [], None
+    for runs, failure in results:
+        per_seed.append(runs)
+        if failure is not None:
+            break
+    summaries = [runs[i] for i in range(len(cfg.variants)) for runs in per_seed if i < len(runs)]
+    return summaries, failure
 
 
 def _cmd_run(args):
     cfg = load_config(args.config)
     out_dir = args.out or cfg.out
-    for summary in _execute(cfg, out_dir, args.jobs):
+    summaries, failure = _execute(cfg, out_dir, args.jobs)
+    for summary in summaries:
         print(_summary_line(summary))
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -171,12 +194,15 @@ def _cmd_sweep(args):
     rows = []
     for value, swept in swept_configs:
         sub_dir = os.path.join(out_root, f"{args.param}={value}")
-        for summary in _execute(swept, sub_dir, args.jobs):
+        summaries, failure = _execute(swept, sub_dir, args.jobs)
+        for summary in summaries:
             peak = max(summary["f_max"]) if summary["f_max"] else 0.0
             rows.append(
                 (args.param, value, summary["variant"], summary["seed"], summary["avg"], summary["last"], peak)
             )
             print(f"{args.param}={value}\t" + _summary_line(summary))
+        if failure is not None:
+            raise failure
     lines = ["param,value,variant,seed,avg,last,f_max"]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -217,6 +243,11 @@ def _build_parser():
     return parser
 
 
+def _pair_note(exc):
+    pair = getattr(exc, "pair", None)
+    return "" if pair is None else f" (variant {pair[0]}, seed {pair[1]})"
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -234,10 +265,10 @@ def main(argv=None):
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"training diverged: {exc}{_pair_note(exc)}", file=sys.stderr)
         return 1
     except DegenerateTrainingError as exc:
-        print(f"training degenerated: {exc}", file=sys.stderr)
+        print(f"training degenerated: {exc}{_pair_note(exc)}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

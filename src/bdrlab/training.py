@@ -10,7 +10,9 @@ old-class contribution sums, which feeds the destruction diagnostics.
 The classifier runs its own numpy forward and backward pass over plain
 float64 arrays. Every loss head is closed-form: it returns the loss and its
 gradient at the logits, which goes straight into ``Classifier.backward``.
-A step is one forward pass plus one backward pass per loss term. The
+A step is one forward pass plus one backward pass per loss term; the
+frozen teacher's logits are computed once per phase, in ``batch_size``
+chunks of the training set, and each step reads its rows. The
 new/old split comes from the classification loss's single backward pass:
 a weight's gradient is a sum of per-row outer products of layer input and
 row delta, so summing over the new-class or old-class rows alone gives each
@@ -362,7 +364,11 @@ def train_phase(
 
     Phase 0 (``old_classes`` = 0) trains with plain cross-entropy regardless
     of the configured variant; later phases add the consolidation term when a
-    teacher is given. Returns the model and the per-step trace.
+    teacher is given. The teacher is frozen and the set fixed, so its logits
+    are computed once, in ``batch_size`` chunks in training-set order, and
+    each step reads its rows. A row's BLAS result can depend on the rows
+    sharing its matmul, so these logits may differ from per-batch ones at
+    rounding level. Returns the model and the per-step trace.
     """
     feats = data.features
     labels = data.labels
@@ -372,6 +378,10 @@ def train_phase(
     schedule = balance_state.schedule if balance_state is not None else None
     loss_fn = _variant_loss_fn(variant, k, labels, schedule)
     distilling = teacher is not None and config.distill_weight > 0 and old_classes > 0
+    if distilling:
+        teacher_logits = np.concatenate(
+            [teacher.logits_np(feats[i : i + config.batch_size]) for i in range(0, n, config.batch_size)]
+        )
     optimizer = SGD(model.params(), config.lr, config.sgd_momentum)
     rng = rng_for(config.seed, BATCH, phase_index)
     trace = StepTrace()
@@ -400,7 +410,7 @@ def train_phase(
                 if distilling:
                     loss_old, old_dlogits = distill_loss(
                         acts.logits,
-                        teacher.logits_np(feats[idx]),
+                        teacher_logits[idx],
                         old_classes,
                         config.distill_temperature,
                         config.distill_weight,

@@ -166,6 +166,18 @@ class TestCmdRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("training degenerated: all-zero variances")
 
+    def test_failure_keeps_finished_summaries_and_names_its_pair(self, tmp_path, capsys):
+        # ce and cr finish on the dead network; bdr stops in its compensation weights
+        text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 0.5")
+        text = text.replace("seeds = 0, 1, 2, 3, 4", "seeds = 0")
+        config_path = tmp_path / "dead.cfg"
+        config_path.write_text(text)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert [line.split("\t")[:2] for line in captured.out.splitlines()] == [["ce", "0"], ["cr", "0"]]
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].endswith(" (variant bdr, seed 0)")
+
     def test_run_never_imports_scipy_optimize(self, tmp_path):
         # only the balanced-risk oracle behind `verify` needs scipy.optimize
         config_path = tmp_path / "exp.cfg"

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from bdrlab import balance
 from bdrlab.balance import log_softmax
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
-from bdrlab.seeding import INIT, rng_for
+from bdrlab.seeding import BATCH, INIT, rng_for
 from bdrlab.tensor import Tensor, finite_diff_check, matmul, relu
 from bdrlab.training import (
     LOSS_VARIANTS,
@@ -261,6 +262,58 @@ class TestTrainPhase:
         train_phase(model, stream.phases[1], config, 1, teacher=teacher, old_classes=2)
         for p, snap in zip(teacher.params(), snapshot):
             np.testing.assert_array_equal(p, snap)
+
+    @staticmethod
+    def _distilling_phase():
+        # returns the phase-1 inputs with every forward call of the teacher and
+        # the student recorded as (input rows, logits)
+        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
+        config = small_config(epochs=3, batch_size=13)
+        model = Classifier(4, config.hidden, 2, rng_for(0, INIT, 0))
+        model, _ = train_phase(model, stream.phases[0], config, 0)
+        teacher = model.copy()
+        model.expand_head(2, rng_for(0, INIT, 1))
+        calls = {"teacher": [], "model": []}
+        for name, net in (("teacher", teacher), ("model", model)):
+            def recorded(x, frozen=None, net=net, log=calls[name]):
+                acts = Classifier.forward(net, x, frozen)
+                log.append((np.array(x), acts.logits.copy()))
+                return acts
+
+            net.forward = recorded
+        return stream.phases[1], config, model, teacher, calls
+
+    def test_teacher_scores_each_row_once_per_phase(self):
+        data, config, model, teacher, calls = self._distilling_phase()
+        _, trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        assert len(calls["teacher"]) == math.ceil(data.n / config.batch_size)
+        assert len(trace.rows) == config.epochs * len(calls["teacher"])
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in calls["teacher"]]), data.features)
+
+    def test_cached_teacher_logits_give_the_per_batch_distillation_loss(self):
+        data, config, model, teacher, calls = self._distilling_phase()
+        _, trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        del teacher.forward  # back to the class's pass, unrecorded
+        rng = rng_for(config.seed, BATCH, 1)
+        batches = [
+            perm[start : start + config.batch_size]
+            for perm in (rng.permutation(data.n) for _ in range(config.epochs))
+            for start in range(0, data.n, config.batch_size)
+        ]
+        assert len(batches) == len(trace.rows) == len(calls["model"])
+        for idx, row, (x, logits) in zip(batches, trace.rows, calls["model"]):
+            np.testing.assert_array_equal(x, data.features[idx])
+            want, _ = distill_loss(
+                logits,
+                teacher.forward(data.features[idx]).logits,
+                2,
+                config.distill_temperature,
+                config.distill_weight,
+            )
+            if row.step == 0:  # the student still equals the teacher: zero up to rounding
+                assert abs(row.loss_old) <= 1e-15 and abs(want) <= 1e-15
+            else:
+                assert abs(row.loss_old - want) <= 1e-12 * abs(want)
 
 
 class TestRunExperiment:
