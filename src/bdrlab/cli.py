@@ -12,7 +12,9 @@ any failure.
 
 A pair whose training diverges or degenerates ends the run at its seed:
 the summaries of the pairs that finished are printed first, then one error
-line naming the failed pair, and the exit code is 1.
+line naming the failed pair, and the exit code is 1. With ``--jobs`` > 1
+no seed starts once a failure is known, and stderr names each report that
+a later seed, already running, wrote.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from .balance import DegenerateTrainingError
 from .config import ConfigError, ExperimentConfig, checked, load_config, parse_value, protocol_error
@@ -131,15 +133,36 @@ def _run_seed(cfg: ExperimentConfig, seed, out_dir):
     return summaries, None
 
 
+def _pooled(cfg: ExperimentConfig, out_dir, jobs):
+    """Each started seed's ``_run_seed`` result, in seed order, from up to
+    ``jobs`` worker processes. A seed goes to the pool only when a worker is
+    free and no seed has failed yet, so none starts after a known failure; a
+    pool holding queued seeds could not cancel them, because it hands them
+    to its workers' queue ahead of time."""
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures, running = [], set()
+        for seed in cfg.seeds:
+            if len(running) == jobs:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.result()[1] is not None for f in done):
+                    break
+            futures.append(pool.submit(_run_seed, cfg, seed, out_dir))
+            running.add(futures[-1])
+        return [f.result() for f in futures]
+
+
 def _execute(cfg: ExperimentConfig, out_dir, jobs):
     """Run every (variant, seed) pair, one task per seed, up to the first seed
     with a failed pair. Returns the finished pairs' summaries in (variant,
-    seed) order and that failure (or None)."""
+    seed) order and that failure (or None).
+
+    With ``jobs`` > 1 a later seed may already be running at the failure; it
+    runs to its end, and stderr names each report it writes, so that no
+    report on disk goes unnamed.
+    """
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_seed, cfg, seed, out_dir) for seed in cfg.seeds]
-            results = [f.result() for f in futures]
+        results = _pooled(cfg, out_dir, jobs)
     else:
         results = (_run_seed(cfg, seed, out_dir) for seed in cfg.seeds)  # lazy: none runs after a failure
     per_seed, failure = [], None
@@ -147,6 +170,11 @@ def _execute(cfg: ExperimentConfig, out_dir, jobs):
         per_seed.append(runs)
         if failure is not None:
             break
+    if jobs > 1:
+        for runs, _ in results[len(per_seed) :]:
+            for late in runs:
+                path = os.path.join(out_dir, f"{late['variant']}_{late['seed']}.json")
+                print(f"not summarised, its seed follows the failed one: {path}", file=sys.stderr)
     summaries = [runs[i] for i in range(len(cfg.variants)) for runs in per_seed if i < len(runs)]
     return summaries, failure
 

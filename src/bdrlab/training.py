@@ -15,8 +15,9 @@ frozen teacher's logits are computed once per phase, in ``batch_size``
 chunks of the training set, and each step reads its rows. The
 new/old split comes from the classification loss's single backward pass:
 a weight's gradient is a sum of per-row outer products of layer input and
-row delta, so summing over the new-class or old-class rows alone gives each
-contribution (Goodfellow 2015, arXiv:1510.01799).
+row delta, so summing over the smaller of the new-class and old-class row
+groups gives its contribution directly (Goodfellow 2015,
+arXiv:1510.01799), and the other group's is the batch gradient minus it.
 
 Phase 0 has no old classes and trains with plain cross-entropy whatever the
 variant, so a run splits in two: ``first_phase`` trains phase 0, fills the
@@ -162,15 +163,26 @@ class Classifier:
 
     def forward(self, x, frozen=None):
         """Numpy forward pass over a batch of rows, kept for ``backward``;
-        ``frozen`` ReLU masks, one per hidden layer, replace the computed ones."""
+        ``frozen`` ReLU masks, one per hidden layer, replace the computed ones.
+
+        The ReLU is ``np.maximum(a, 0.0)``, which equals ``np.where(a > 0, a,
+        0.0)`` bit for bit, signed zeros included, except at NaN: a NaN
+        pre-activation reaches the logits, and training ends in a
+        ``DivergenceError`` rather than with a silently dead unit. A frozen
+        mask can hide a negative pre-activation, so that path keeps
+        ``np.where``.
+        """
         h = np.asarray(x, dtype=np.float64)
         inputs, masks = [], []
         for i, (w, b) in enumerate(self.layers):
             inputs.append(h)
             a = h @ w + b
-            mask = a > 0.0 if frozen is None else frozen[i]  # subgradient at exactly 0 is 0
-            masks.append(mask)
-            h = np.where(mask, a, 0.0)
+            if frozen is None:
+                masks.append(a > 0.0)  # subgradient at exactly 0 is 0
+                h = np.maximum(a, 0.0)
+            else:
+                masks.append(frozen[i])
+                h = np.where(frozen[i], a, 0.0)
         inputs.append(h)
         return Activations(inputs, masks, h @ self.head_w + self.head_b)
 
@@ -319,28 +331,34 @@ def _variant_loss_fn(variant, k, labels, schedule):
     raise ValueError(f"unknown loss variant {variant!r}")
 
 
-def _contribution_sums(grads, acts, deltas, new_rows):
+def _contribution_sums(flat, acts, deltas, new_rows):
     """Summed per-sample gradients of the classification loss, split into the
     batch's new-class rows and old-class rows.
 
-    ``grads`` and ``deltas`` come from the loss's backward pass over the whole
-    batch (``Classifier.backward``). The loss is a batch mean, so each sum is
-    scaled back up by the batch size.
+    ``flat`` is the loss's batch gradient flattened in ``params()`` order,
+    and ``deltas`` the row deltas of the same backward pass
+    (``Classifier.backward``). The loss is a batch mean, so each sum is the
+    batch size times its rows' share of ``flat``. The smaller row group is
+    summed directly, from its rows' outer products; the other group is the
+    remainder, ``scale * flat`` minus that sum, so only its rounding differs
+    from a direct sum.
     """
     scale = float(new_rows.size)
-    sums = []
-    for rows in (new_rows, ~new_rows):
-        if rows.all():
-            parts = grads
-        elif not rows.any():
-            parts = [np.zeros_like(g) for g in grads]
-        else:
-            parts = []
-            for h, d in zip(acts.inputs, deltas):
-                d = d[rows]
-                parts += (h[rows].T @ d, d.sum(axis=0))
-        sums.append(scale * _flatten(parts))
-    return sums[0], sums[1]
+    n_new = int(np.count_nonzero(new_rows))
+    if n_new == new_rows.size:
+        return scale * flat, np.zeros_like(flat)
+    if n_new == 0:
+        return np.zeros_like(flat), scale * flat
+    new_is_direct = 2 * n_new <= new_rows.size
+    rows = new_rows if new_is_direct else ~new_rows
+    parts = []
+    for h, d in zip(acts.inputs, deltas):
+        d = d[rows]
+        parts += (h[rows].T @ d, d.sum(axis=0))
+    direct = scale * _flatten(parts)
+    rest = scale * flat
+    rest -= direct
+    return (direct, rest) if new_is_direct else (rest, direct)
 
 
 def _probe_ce(model, probe):
@@ -425,11 +443,12 @@ def train_phase(
                 raise DivergenceError(f"non-finite loss at phase {phase_index}, step {step}")
 
             grads, deltas = model.backward(acts, dlogits)
-            grad_total_sq = float(np.sum(_flatten(grads) ** 2))
-            grad_new, grad_old = _contribution_sums(grads, acts, deltas, y >= old_classes)
+            flat = _flatten(grads)
+            grad_total_sq = float(np.sum(flat**2))
+            grad_new, grad_old = _contribution_sums(flat, acts, deltas, y >= old_classes)
             if old_dlogits is not None:
-                old_grads, _ = model.backward(acts, old_dlogits)
-                grads = [g + h for g, h in zip(grads, old_grads)]
+                for g, h in zip(grads, model.backward(acts, old_dlogits)[0]):
+                    g += h
             optimizer.step(grads)
 
             trace.rows.append(

@@ -178,6 +178,24 @@ class TestCmdRun:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].endswith(" (variant bdr, seed 0)")
 
+    def test_failure_with_jobs_names_every_report_on_disk(self, tmp_path, capsys):
+        # a seed after the failed one either never starts or, when it was
+        # already running, has each report it wrote named on stderr
+        text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 0.5")
+        text = text.replace("seeds = 0, 1, 2, 3, 4", "seeds = 0, 1, 2")
+        config_path = tmp_path / "dead.cfg"
+        config_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out), "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        summarised = {"{}_{}.json".format(*line.split("\t")[:2]) for line in captured.out.splitlines()}
+        assert summarised == {"ce_0.json", "cr_0.json"}
+        err = captured.err.splitlines()
+        assert err[-1].endswith(" (variant bdr, seed 0)")
+        named = {os.path.basename(line.rsplit(" ", 1)[-1]) for line in err[:-1]}
+        on_disk = {path.name for path in out.glob("*.json")}
+        assert on_disk >= summarised and on_disk - summarised == named
+
     def test_run_never_imports_scipy_optimize(self, tmp_path):
         # only the balanced-risk oracle behind `verify` needs scipy.optimize
         config_path = tmp_path / "exp.cfg"

@@ -41,6 +41,29 @@ class TestClassifier:
             assert type(p) is np.ndarray and p.dtype == np.float64
             assert np.array_equal(p, q) and not np.shares_memory(p, q)
 
+    def test_relu_equals_the_masked_select_bit_for_bit(self):
+        # BLAS never yields -0.0 from ``h @ w``, so the first layer's weight is
+        # a stand-in whose product with any input is the chosen pre-activation
+        # block; its bias of -0.0 adds back every value, sign bit included
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, 1.5, -2.5]
+        rng = np.random.default_rng(3)
+        a = rng.permutation(np.resize(special, 64 * 40)).reshape(64, 40)
+
+        class FixedProduct:
+            __array_ufunc__ = None  # makes ``h @ self`` call __rmatmul__
+
+            def __rmatmul__(self, h):
+                return a.copy()
+
+        model = Classifier(5, (40,), 3, rng_for(0, INIT, 0))
+        model.layers[0] = (FixedProduct(), np.full(40, -0.0))
+        with np.errstate(invalid="ignore"):
+            acts = model.forward(rng.standard_normal((64, 5)))
+        want = np.where(a > 0, a, 0.0)
+        assert np.array_equal(acts.features, want)
+        assert np.array_equal(np.signbit(acts.features), np.signbit(want))
+        assert np.array_equal(acts.masks[0], a > 0)
+
 
 class TestExpandHead:
     def test_old_logits_preserved(self):
@@ -190,19 +213,47 @@ class TestKernelAgainstTape:
         model, x, y, loss_fn, _ = self._setup(variant)
         acts = model.forward(x)
         grads, deltas = model.backward(acts, loss_fn(acts.logits, y)[1])
-        split = _contribution_sums(grads, acts, deltas, y >= old_classes)
+        split = _contribution_sums(_flatten(grads), acts, deltas, y >= old_classes)
 
-        # reference: each sub-batch's summed loss through its own tape pass
         for got, rows in zip(split, (y >= old_classes, y < old_classes)):
-            if rows.any():
-                params = [Tensor(p, requires_grad=True) for p in model.params()]
-                sub_logits = _tape_logits(params, x[rows])
-                _, sub_dlogits = loss_fn(sub_logits.data, y[rows])
-                (sub_logits * (sub_dlogits * float(rows.sum()))).sum().backward()
-                want = _flatten([p.grad for p in params])
-            else:
-                want = np.zeros(got.size)
+            want = self._sub_batch_sum(model, x, y, loss_fn, rows)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("layout", ["old_majority", "single_old", "even"])
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_split_remainder_matches_two_sub_batch_passes(self, variant, layout):
+        # the smaller row group is summed directly and the other one is the
+        # remainder of the batch gradient: cover either side being the remainder
+        model, x, _, loss_fn, _ = self._setup(variant)
+        rng = np.random.default_rng(5)
+        if layout == "old_majority":
+            y = rng.integers(0, self.OLD, 23)
+            y[[4, 17]] = [self.OLD, self.K - 1]
+        elif layout == "single_old":
+            y = rng.integers(self.OLD, self.K, 23)
+            y[9] = 1
+        else:
+            x = x[:22]
+            y = np.resize([0, self.OLD, 1, self.K - 1, 2, self.OLD], 22)  # 11 new rows, 11 old
+        new_rows = y >= self.OLD
+        acts = model.forward(x)
+        grads, deltas = model.backward(acts, loss_fn(acts.logits, y)[1])
+        split = _contribution_sums(_flatten(grads), acts, deltas, new_rows)
+
+        for got, rows in zip(split, (new_rows, ~new_rows)):
+            want = self._sub_batch_sum(model, x, y, loss_fn, rows)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @staticmethod
+    def _sub_batch_sum(model, x, y, loss_fn, rows):
+        # reference: the sub-batch's summed loss through its own tape pass
+        if not rows.any():
+            return np.zeros(_flatten(model.params()).size)
+        params = [Tensor(p, requires_grad=True) for p in model.params()]
+        sub_logits = _tape_logits(params, x[rows])
+        _, sub_dlogits = loss_fn(sub_logits.data, y[rows])
+        (sub_logits * (sub_dlogits * float(rows.sum()))).sum().backward()
+        return _flatten([p.grad for p in params])
 
 
 class TestTrainPhase:
@@ -232,6 +283,16 @@ class TestTrainPhase:
         data = LabeledSet(x, rng.integers(0, 2, 20).astype(np.int64), 2)
         config = small_config(epochs=1, batch_size=20, hidden=(16,))
         model = Classifier(3, config.hidden, 2, rng_for(0, INIT, 0))
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="step 0"):
+            train_phase(model, data, config, 0)
+
+    def test_nan_hidden_weight_diverges_at_step_zero(self):
+        # a NaN pre-activation reaches the logits instead of leaving a unit
+        # that is silently dead for the rest of training
+        data = make_gaussian_mixture(2, 20, 6, 3.0, seed=4)
+        config = small_config(epochs=2, batch_size=20, hidden=(16,))
+        model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
+        model.layers[0][0][:, 3] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="step 0"):
             train_phase(model, data, config, 0)
 
