@@ -35,8 +35,6 @@ from .data import (
     split_phases,
 )
 from .diagnostics import (
-    BoundReport,
-    DestructionReport,
     TopEigen,
     cauchy_check,
     f_max,

@@ -29,13 +29,7 @@ from .balance import DegenerateTrainingError
 from .config import ConfigError, ExperimentConfig, checked, load_config, parse_value, protocol_error
 from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, split_phases
 from .memory import MemoryConfigError
-from .reporting import (
-    atomic_write_text,
-    write_balance_csv,
-    write_boxplot_csv,
-    write_report,
-    write_step_csv,
-)
+from .reporting import write_balance_csv, write_boxplot_csv, write_report, write_step_csv, write_sweep_csv
 from .training import DivergenceError, first_phase, run_experiment
 
 # sweep name -> config attribute (protocol letters follow the benchmark notation)
@@ -231,11 +225,8 @@ def _cmd_sweep(args):
             print(f"{args.param}={value}\t" + _summary_line(summary))
         if failure is not None:
             raise failure
-    lines = ["param,value,variant,seed,avg,last,f_max"]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     csv_path = os.path.join(out_root, f"sweep_{args.param}.csv")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    write_sweep_csv(csv_path, rows)
     print(f"wrote {csv_path}")
     return 0
 

@@ -1,7 +1,8 @@
 """Measurements of the old-knowledge destruction transient.
 
 Pure functions over recorded traces plus the curvature estimate behind the
-peak-forgetting bound: the peak is bounded by
+peak-forgetting bound. The per-phase summaries return the dicts that the run
+report stores, with plain ``float`` and ``int`` values. The peak is bounded by
 (N_s / 2) * lr^2 * sigma_max(sum of old-phase Hessians) * sum of squared
 gradient norms up to the peak, with equality in the underlying gradient
 decomposition exactly when new-class and old-class contributions match.
@@ -12,7 +13,6 @@ sigma_max is taken by Lanczos on Hessian-vector products, as PyHessian does
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -54,77 +54,41 @@ def metrics(per_phase_accuracies):
     return float(accs.mean()), float(accs[-1])
 
 
-@dataclass
-class BoxplotStats:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    outliers: np.ndarray  # values beyond 1.5 IQR from the quartiles
-
-    @property
-    def outlier_count(self):
-        return int(self.outliers.size)
-
-    def as_dict(self):
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "outlier_count": self.outlier_count,
-        }
-
-
 def old_loss_distribution(trace):
-    """Tukey boxplot statistics of a loss trace (linear-interpolation quartiles)."""
+    """Tukey boxplot statistics of a loss trace (linear-interpolation
+    quartiles) as the report stores them; ``outlier_count`` counts the values
+    beyond 1.5 IQR from the quartiles."""
     t = np.asarray(trace, dtype=np.float64)
     if t.size == 0:
         raise ValueError("empty loss trace")
     q1, median, q3 = np.percentile(t, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = t[(t < lo) | (t > hi)]
-    return BoxplotStats(float(t.min()), float(q1), float(median), float(q3), float(t.max()), outliers)
-
-
-@dataclass
-class DestructionReport:
-    initial: float
-    peak: float
-    f_max: float
-    step_of_peak: int
-    converged: float
-    box: BoxplotStats
-
-    def as_dict(self):
-        return {
-            "initial": self.initial,
-            "peak": self.peak,
-            "f_max": self.f_max,
-            "step_of_peak": self.step_of_peak,
-            "converged": self.converged,
-            "box": self.box.as_dict(),
-        }
+    return {
+        "min": float(t.min()),
+        "q1": float(q1),
+        "median": float(median),
+        "q3": float(q3),
+        "max": float(t.max()),
+        "outlier_count": int(np.count_nonzero((t < lo) | (t > hi))),
+    }
 
 
 def destruction_report(old_losses, epochs):
-    """Summarise one phase's old-loss trace: the peak rise from the starting
-    value and where it settled (mean over the final epoch's steps)."""
+    """Summarise one phase's old-loss trace as the report stores it: the peak
+    rise from the starting value and where it settled (mean over the final
+    epoch's steps)."""
     t = np.asarray(old_losses, dtype=np.float64)
     e = np.asarray(epochs)
     rise, peak_step = f_max(t)
-    converged = float(t[e == e[-1]].mean())
-    return DestructionReport(
-        initial=float(t[0]),
-        peak=float(t[peak_step]),
-        f_max=rise,
-        step_of_peak=peak_step,
-        converged=converged,
-        box=old_loss_distribution(t),
-    )
+    return {
+        "initial": float(t[0]),
+        "peak": float(t[peak_step]),
+        "f_max": rise,
+        "step_of_peak": peak_step,
+        "converged": float(t[e == e[-1]].mean()),
+        "box": old_loss_distribution(t),
+    }
 
 
 class TopEigen(NamedTuple):
@@ -174,27 +138,6 @@ def hessian_top_eigen(hvp, size, tol=1e-6, max_iter=200, seed=0):
     return TopEigen(theta, False, max_iter, residual)
 
 
-@dataclass
-class BoundReport:
-    sigma_max: float
-    sigma_converged: bool
-    sigma_hvps: int
-    sigma_residual: float
-    grad_sq_sum_to_peak: float
-    bound: float
-    f_max: float
-    bound_minus_f_max: float
-    cauchy_lhs: np.ndarray
-    cauchy_rhs: np.ndarray
-    min_cauchy_gap: float
-
-    def as_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["cauchy_lhs"] = [float(v) for v in self.cauchy_lhs]
-        out["cauchy_rhs"] = [float(v) for v in self.cauchy_rhs]
-        return out
-
-
 def peak_bound(steps_to_peak, lr, sigma_max, grad_sq_sum):
     """(N_s / 2) * lr^2 * sigma_max * sum of squared gradient norms."""
     return 0.5 * steps_to_peak * lr * lr * sigma_max * grad_sq_sum
@@ -215,16 +158,16 @@ def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, curv
     bound = peak_bound(peak_step, lr, curvature.value, grad_sum)
     rhs = 4.0 * inner / (n * n)
     gaps = gsq - rhs
-    return BoundReport(
-        sigma_max=curvature.value,
-        sigma_converged=curvature.converged,
-        sigma_hvps=curvature.hvps,
-        sigma_residual=curvature.residual,
-        grad_sq_sum_to_peak=grad_sum,
-        bound=float(bound),
-        f_max=rise,
-        bound_minus_f_max=float(bound - rise),
-        cauchy_lhs=gsq,
-        cauchy_rhs=rhs,
-        min_cauchy_gap=float(gaps.min()) if gaps.size else 0.0,
-    )
+    return {
+        "sigma_max": curvature.value,
+        "sigma_converged": curvature.converged,
+        "sigma_hvps": curvature.hvps,
+        "sigma_residual": curvature.residual,
+        "grad_sq_sum_to_peak": grad_sum,
+        "bound": float(bound),
+        "f_max": rise,
+        "bound_minus_f_max": float(bound - rise),
+        "cauchy_lhs": [float(v) for v in gsq],
+        "cauchy_rhs": [float(v) for v in rhs],
+        "min_cauchy_gap": float(gaps.min()) if gaps.size else 0.0,
+    }

@@ -28,6 +28,8 @@ BALANCE_COLUMNS = ("step", "class", "psi", "omega", "pi_hat")
 
 BOXPLOT_COLUMNS = ("phase", "min", "q1", "median", "q3", "max", "outlier_count")
 
+SWEEP_COLUMNS = ("param", "value", "variant", "seed", "avg", "last", "f_max")
+
 
 def atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path))
@@ -73,20 +75,7 @@ def _csv_text(columns, rows):
 
 
 def write_step_csv(path, records):
-    rows = [
-        (
-            r.phase,
-            r.epoch,
-            r.step,
-            r.loss_new,
-            r.loss_old,
-            r.grad_new_norm,
-            r.grad_old_norm,
-            r.grad_total_sq,
-            r.contrib_inner,
-        )
-        for r in records
-    ]
+    rows = [[getattr(r, c) for c in STEP_COLUMNS] for r in records]
     atomic_write_text(path, _csv_text(STEP_COLUMNS, rows))
 
 
@@ -95,9 +84,10 @@ def write_balance_csv(path, rows):
 
 
 def write_boxplot_csv(path, per_phase_boxes):
-    """per_phase_boxes: iterable of (phase, BoxplotStats-like dict)."""
-    rows = [
-        (phase, box["min"], box["q1"], box["median"], box["q3"], box["max"], box["outlier_count"])
-        for phase, box in per_phase_boxes
-    ]
+    """per_phase_boxes: iterable of (phase, the report's ``box`` dict)."""
+    rows = [[phase] + [box[c] for c in BOXPLOT_COLUMNS[1:]] for phase, box in per_phase_boxes]
     atomic_write_text(path, _csv_text(BOXPLOT_COLUMNS, rows))
+
+
+def write_sweep_csv(path, rows):
+    atomic_write_text(path, _csv_text(SWEEP_COLUMNS, rows))

@@ -161,28 +161,21 @@ class Classifier:
         out.extend((self.head_w, self.head_b))
         return out
 
-    def forward(self, x, frozen=None):
-        """Numpy forward pass over a batch of rows, kept for ``backward``;
-        ``frozen`` ReLU masks, one per hidden layer, replace the computed ones.
+    def forward(self, x):
+        """Numpy forward pass over a batch of rows, kept for ``backward``.
 
         The ReLU is ``np.maximum(a, 0.0)``, which equals ``np.where(a > 0, a,
         0.0)`` bit for bit, signed zeros included, except at NaN: a NaN
         pre-activation reaches the logits, and training ends in a
-        ``DivergenceError`` rather than with a silently dead unit. A frozen
-        mask can hide a negative pre-activation, so that path keeps
-        ``np.where``.
+        ``DivergenceError`` rather than with a silently dead unit.
         """
         h = np.asarray(x, dtype=np.float64)
         inputs, masks = [], []
-        for i, (w, b) in enumerate(self.layers):
+        for w, b in self.layers:
             inputs.append(h)
             a = h @ w + b
-            if frozen is None:
-                masks.append(a > 0.0)  # subgradient at exactly 0 is 0
-                h = np.maximum(a, 0.0)
-            else:
-                masks.append(frozen[i])
-                h = np.where(frozen[i], a, 0.0)
+            masks.append(a > 0.0)  # subgradient at exactly 0 is 0
+            h = np.maximum(a, 0.0)
         inputs.append(h)
         return Activations(inputs, masks, h @ self.head_w + self.head_b)
 
@@ -205,14 +198,8 @@ class Classifier:
                 g = (g @ weights[i].T) * acts.masks[i - 1]
         return grads[::-1], deltas[::-1]
 
-    def features_np(self, x):
-        return self.forward(x).features
-
-    def logits_np(self, x):
-        return self.forward(x).logits
-
     def predict(self, x):
-        return np.argmax(self.logits_np(x), axis=1)
+        return np.argmax(self.forward(x).logits, axis=1)
 
     def accuracy(self, x, labels):
         """Top-1 accuracy in percent on raw logits (no training-time offsets)."""
@@ -317,8 +304,7 @@ def _variant_loss_fn(variant, k, labels, schedule):
     if variant == LOSS_CR:
         counts = np.bincount(labels, minlength=k)
         priors = balance.class_priors(counts)
-        tau = schedule.tau if schedule is not None else 1.0
-        return lambda logits, y: balance.bal_ce_loss(logits, y, priors, tau)
+        return lambda logits, y: balance.bal_ce_loss(logits, y, priors)
     if variant == LOSS_BDR:
         if schedule is None:
             raise ValueError("bdr training needs an initialized offset schedule")
@@ -361,13 +347,6 @@ def _contribution_sums(flat, acts, deltas, new_rows):
     return (direct, rest) if new_is_direct else (rest, direct)
 
 
-def _probe_ce(model, probe):
-    feats, labels = probe
-    logits = model.logits_np(feats)
-    logp = log_softmax(logits)
-    return float(-logp[np.arange(len(labels)), labels].mean())
-
-
 def train_phase(
     model,
     data: LabeledSet,
@@ -398,7 +377,7 @@ def train_phase(
     distilling = teacher is not None and config.distill_weight > 0 and old_classes > 0
     if distilling:
         teacher_logits = np.concatenate(
-            [teacher.logits_np(feats[i : i + config.batch_size]) for i in range(0, n, config.batch_size)]
+            [teacher.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
         )
     optimizer = SGD(model.params(), config.lr, config.sgd_momentum)
     rng = rng_for(config.seed, BATCH, phase_index)
@@ -434,7 +413,8 @@ def train_phase(
                         config.distill_weight,
                     )
                 elif old_loss_probe is not None:
-                    loss_old = _probe_ce(model, old_loss_probe)
+                    probe_x, probe_y = old_loss_probe
+                    loss_old = ce_with_offset(model.forward(probe_x).logits, np.zeros(k), probe_y)[0]
             except FloatingPointError as exc:
                 raise DivergenceError(
                     f"non-finite loss at phase {phase_index}, step {step}: {exc}"
@@ -583,7 +563,7 @@ def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
     )
     phase = stream.phases[0]
     model, trace = train_phase(model, phase, config, 0)
-    memory.update(phase, features_of=model.features_np)
+    memory.update(phase, features_of=lambda x: model.forward(x).features)
     entry = _phase_entry(stream, 0, phase, _evaluate(model, stream, 0))
     sigma_max = None
     if len(stream.phases) > 1:
@@ -640,10 +620,10 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
             model, train_set, config, t, balance_state, teacher, old_count, probe
         )
         traces.append(trace)
-        memory.update(phase, features_of=model.features_np)
+        memory.update(phase, features_of=lambda x: model.forward(x).features)
         entry = _phase_entry(stream, t, train_set, _evaluate(model, stream, t))
         old_losses = trace.column("loss_old")
-        entry["destruction"] = destruction_report(old_losses, trace.column("epoch")).as_dict()
+        entry["destruction"] = destruction_report(old_losses, trace.column("epoch"))
         entry["bound"] = bound_report(
             old_losses,
             trace.column("grad_total_sq"),
@@ -651,7 +631,7 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
             trace.column("batch_size"),
             config.lr,
             sigma_max,
-        ).as_dict()
+        )
         phase_reports.append(entry)
     avg, last = metrics([entry["accuracy"]["overall"] for entry in phase_reports])
     report = {

@@ -23,7 +23,7 @@ from .balance import ce_with_offset, weighted_ce
 from .data import LabeledSet
 from .diagnostics import cauchy_check, f_max, hessian_top_eigen
 from .tensor import finite_diff_check
-from .training import Classifier, _flatten, _old_phase_hvp, distill_loss
+from .training import Activations, Classifier, _flatten, _old_phase_hvp, distill_loss
 
 
 @dataclass
@@ -40,14 +40,27 @@ def _set_flat_params(model, vec):
         offset += p.size
 
 
-def _net_loss(model, x, labels, frozen=None):
+def frozen_mask_forward(model, x, masks):
+    """``Classifier.forward`` with the hidden ReLU masks fixed to ``masks``.
+    A fixed mask can hide a negative pre-activation, so the ReLU is
+    ``np.where`` on the mask rather than ``np.maximum``."""
+    h = np.asarray(x, dtype=np.float64)
+    inputs = []
+    for (w, b), mask in zip(model.layers, masks):
+        inputs.append(h)
+        h = np.where(mask, h @ w + b, 0.0)
+    inputs.append(h)
+    return Activations(inputs, masks, h @ model.head_w + model.head_b)
+
+
+def _net_loss(model, x, labels, masks=None):
     """Cross-entropy of a classifier as a function of its flat parameters,
-    with the gradient from ``Classifier.backward``; ``frozen`` fixes the
+    with the gradient from ``Classifier.backward``; ``masks`` fixes the
     ReLU masks."""
 
     def f(theta):
         _set_flat_params(model, theta)
-        acts = model.forward(x, frozen)
+        acts = model.forward(x) if masks is None else frozen_mask_forward(model, x, masks)
         value, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), labels)
         grads, _ = model.backward(acts, dlogits)
         return value, _flatten(grads)

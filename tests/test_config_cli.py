@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import bdrlab
-from bdrlab.cli import main
+from bdrlab.cli import build_stream, main
 from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, serialize_config
-from bdrlab.reporting import body_hash, read_report
+from bdrlab.reporting import STEP_COLUMNS, body_hash, read_report
+from bdrlab.training import run_experiment
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 
@@ -247,6 +248,41 @@ class TestCmdRun:
             "phase,epoch,step,loss_new,loss_old,grad_new_norm,grad_old_norm,"
             "grad_total_sq,contrib_inner"
         )
+
+    def test_step_csv_rows_are_the_trace(self, tmp_path):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+        cfg = parse_config(SMALL_CONFIG)
+        result = run_experiment(build_stream(cfg, 0), cfg.train_config("bdr", 0))
+        records = [r for trace in result.traces for r in trace.rows]
+        lines = (out / "bdr_0_steps.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(records) > 0
+        for line, record in zip(lines, records):
+            fields = line.split(",")
+            assert len(fields) == len(STEP_COLUMNS) == 9
+            for text, column in zip(fields, STEP_COLUMNS):
+                value = getattr(record, column)
+                assert type(value)(text) == value, column
+
+    def test_cr_ignores_tau(self, tmp_path):
+        # the [balance] keys act on bdr only; cr shifts by the unscaled log priors
+        bodies, steps = [], []
+        for tau in ("1.0", "2.0"):
+            config_path = tmp_path / f"tau{tau}.cfg"
+            config_path.write_text(
+                SMALL_CONFIG.replace("variants = ce, bdr", "variants = cr") + f"\n[balance]\ntau = {tau}\n"
+            )
+            out = tmp_path / f"tau{tau}"
+            assert main(["run", str(config_path), "--out", str(out)]) == 0
+            body = read_report(out / "cr_0.json")["body"]
+            assert body["config"]["tau"] == float(tau)
+            del body["config"]
+            bodies.append(body)
+            steps.append((out / "cr_0_steps.csv").read_bytes())
+        assert bodies[0] == bodies[1]
+        assert steps[0] == steps[1]
 
     def test_boxplot_csv_schema(self, tmp_path):
         config_path = tmp_path / "exp.cfg"

@@ -94,20 +94,20 @@ class TestMetrics:
 class TestOldLossDistribution:
     def test_constant_trace(self):
         box = old_loss_distribution([2.0] * 10)
-        assert box.minimum == box.q1 == box.median == box.q3 == box.maximum == 2.0
-        assert box.outlier_count == 0
+        assert box["min"] == box["q1"] == box["median"] == box["q3"] == box["max"] == 2.0
+        assert box["outlier_count"] == 0
 
     def test_linear_interpolation_convention(self):
         box = old_loss_distribution(np.arange(1.0, 101.0))
-        assert box.median == pytest.approx(50.5)
-        assert box.q1 == pytest.approx(25.75)
-        assert box.q3 == pytest.approx(75.25)
+        assert box["median"] == pytest.approx(50.5)
+        assert box["q1"] == pytest.approx(25.75)
+        assert box["q3"] == pytest.approx(75.25)
 
     def test_single_spike_is_one_outlier(self):
         trace = [1.0] * 30 + [50.0]
         box = old_loss_distribution(trace)
-        assert box.outlier_count == 1
-        assert box.maximum == 50.0
+        assert box["outlier_count"] == 1
+        assert box["max"] == 50.0
 
 
 class TestHessianTopEigen:
@@ -207,15 +207,15 @@ class TestDestructionReport:
         losses = [0.1, 0.5, 2.0, 1.0, 0.3, 0.2]
         epochs = [0, 0, 1, 1, 2, 2]
         report = destruction_report(losses, epochs)
-        assert report.initial == 0.1
-        assert report.peak == 2.0
-        assert report.f_max == pytest.approx(1.9)
-        assert report.step_of_peak == 2
-        assert report.converged == pytest.approx(0.25)
+        assert report["initial"] == 0.1
+        assert report["peak"] == 2.0
+        assert report["f_max"] == pytest.approx(1.9)
+        assert report["step_of_peak"] == 2
+        assert report["converged"] == pytest.approx(0.25)
 
     def test_f_max_never_negative(self):
         report = destruction_report([3.0, 1.0, 0.5], [0, 0, 1])
-        assert report.f_max == 0.0
+        assert report["f_max"] == 0.0
 
 
 class TestPeakBound:

@@ -24,7 +24,7 @@ from bdrlab.training import (
     run_experiment,
     train_phase,
 )
-from bdrlab.verification import frozen_mask_hessian, kinked_relu_problem
+from bdrlab.verification import frozen_mask_forward, frozen_mask_hessian, kinked_relu_problem
 
 
 def small_config(**overrides):
@@ -70,9 +70,9 @@ class TestExpandHead:
         rng = np.random.default_rng(0)
         model = Classifier(4, (8,), 4, rng_for(0, INIT, 0))
         x = rng.standard_normal((5, 4))
-        before = model.logits_np(x)
+        before = model.forward(x).logits
         model.expand_head(2, rng_for(0, INIT, 1))
-        after = model.logits_np(x)
+        after = model.forward(x).logits
         np.testing.assert_allclose(after[:, :4], before, atol=1e-12)
         assert model.n_classes == 6
 
@@ -336,8 +336,8 @@ class TestTrainPhase:
         model.expand_head(2, rng_for(0, INIT, 1))
         calls = {"teacher": [], "model": []}
         for name, net in (("teacher", teacher), ("model", model)):
-            def recorded(x, frozen=None, net=net, log=calls[name]):
-                acts = Classifier.forward(net, x, frozen)
+            def recorded(x, net=net, log=calls[name]):
+                acts = Classifier.forward(net, x)
                 log.append((np.array(x), acts.logits.copy()))
                 return acts
 
@@ -517,6 +517,17 @@ class TestOldPhaseCurvature:
             acts = net.forward(s.features)
             on_kink += sum(int((h @ w + b == 0.0).sum()) for h, (w, b) in zip(acts.inputs, net.layers))
         assert on_kink >= 12
+
+    def test_frozen_mask_forward_with_the_computed_masks_is_the_forward_pass(self, problem):
+        net, sets, _, _ = problem
+        x = np.concatenate([s.features for s in sets])
+        acts = net.forward(x)
+        frozen = frozen_mask_forward(net, x, acts.masks)
+        assert len(frozen.inputs) == len(acts.inputs) and len(frozen.masks) == len(acts.masks)
+        for a, b in zip(acts.inputs + [acts.logits], frozen.inputs + [frozen.logits]):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        for a, b in zip(acts.masks, frozen.masks):
+            assert np.array_equal(a, b)
 
     def test_hvp_is_symmetric(self, problem):
         net, _, hvp, _ = problem
