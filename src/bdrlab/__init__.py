@@ -36,7 +36,7 @@ from .data import (
 )
 from .diagnostics import (
     TopEigen,
-    cauchy_check,
+    cauchy_gap,
     f_max,
     hessian_top_eigen,
     metrics,

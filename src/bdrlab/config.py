@@ -53,7 +53,8 @@ class ExperimentConfig(TrainConfig):
             ("seeds", bool(self.seeds), "at least one seed is required"),
             ("seeds", lowest_seed >= 0, f"seeds must be non-negative, got {lowest_seed}"),
         ]
-        for name, least in (("classes", 2), ("per_class", 1), ("dim", 2)):
+        # per_class: each class keeps a sample to train on and holds one out for testing
+        for name, least in (("classes", 2), ("per_class", 2), ("dim", 2)):
             value = getattr(self, name)
             checks.append((name, value >= least, f"{name} must be at least {least}, got {value}"))
         if kind == "idx":

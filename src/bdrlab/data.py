@@ -83,40 +83,31 @@ def concat_sets(sets):
 
 @dataclass(frozen=True)
 class PhaseStream:
-    """Ordered per-phase train/test sets under a (B, S) protocol."""
+    """Ordered per-phase train/test sets under a (B, S) protocol. Each
+    phase's sets count every class seen through that phase, so the class
+    split is read off them."""
 
     phases: tuple
     test_phases: tuple
-    initial_classes: int  # B; 0 means the initial phase holds S classes
-    increment: int  # S
     class_order: np.ndarray
-    seed: int
 
     @property
     def num_phases(self):
         return len(self.phases)
 
     @property
-    def total_classes(self):
-        return len(self.class_order)
-
-    @property
     def dim(self):
         return self.phases[0].dim
 
-    def class_range(self, phase):
-        """Global class indices introduced in the given phase."""
-        first = self.initial_classes if self.initial_classes > 0 else self.increment
-        if phase == 0:
-            return range(0, first)
-        start = first + (phase - 1) * self.increment
-        return range(start, start + self.increment)
+    def classes_through(self, phase):
+        return self.phases[phase].class_count
 
     def classes_before(self, phase):
-        return self.class_range(phase).start
+        return self.classes_through(phase - 1) if phase > 0 else 0
 
-    def classes_through(self, phase):
-        return self.class_range(phase).stop
+    def class_range(self, phase):
+        """Global class indices introduced in the given phase."""
+        return range(self.classes_before(phase), self.classes_through(phase))
 
 
 def make_gaussian_mixture(classes, per_class, dim, separation, seed=0):
@@ -167,7 +158,8 @@ def _read_idx(path, magic_wanted, header_fmt):
 def load_idx(images_path, labels_path):
     """Read an IDX image/label pair (big-endian headers) into a LabeledSet.
 
-    Pixel bytes are scaled to [0, 1].
+    Pixel bytes are scaled to [0, 1]. Every class from 0 to the largest
+    label needs 2 samples, so that ``split_phases`` can hold one out.
     """
     blob, (magic, count, rows, cols), off = _read_idx(images_path, IDX_IMAGES_MAGIC, ">IIII")
     expected = off + count * rows * cols
@@ -186,8 +178,15 @@ def load_idx(images_path, labels_path):
             f"count mismatch at offset 4: {images_path} has {count}, {labels_path} has {lcount}"
         )
     labels = np.frombuffer(lblob, np.uint8, offset=loff).astype(np.int64)
+    counts = np.bincount(labels, minlength=1)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        raise IdxFormatError(
+            f"{labels_path}: class {short[0]} has {counts[short[0]]} sample(s); every class in "
+            f"[0, {counts.size - 1}] needs 2, one to train on and one to test"
+        )
     feats = pixels.astype(np.float64) / 255.0
-    return LabeledSet(feats, labels, int(labels.max()) + 1)
+    return LabeledSet(feats, labels, counts.size)
 
 
 def phase_sizes(total, initial_classes, increment):
@@ -201,12 +200,13 @@ def phase_sizes(total, initial_classes, increment):
     return [first] + [increment] * ((total - first) // increment)
 
 
-def split_phases(data, initial_classes, increment, seed=0, test_fraction=TEST_FRACTION):
+def split_phases(data, initial_classes, increment, seed=0):
     """Partition a labeled set into an incremental phase stream.
 
     Classes are shuffled into a seed-deterministic order, relabeled to their
     position in that order, and dealt out as B classes (S when B = 0) plus
-    increments of S. Each phase carves out a stratified test slice.
+    increments of S. Each phase carves out a stratified test slice of at
+    least one sample per class, so every class needs two samples.
     """
     total = data.class_count
     sizes = phase_sizes(total, initial_classes, increment)
@@ -221,32 +221,15 @@ def split_phases(data, initial_classes, increment, seed=0, test_fraction=TEST_FR
         for slot in range(position, position + size):
             source_class = int(class_order[slot])
             idx = rng.permutation(data.indices_of_class(source_class))
-            if test_fraction > 0.0 and idx.size >= 2:
-                n_test = max(1, int(idx.size * test_fraction))
-            else:
-                n_test = 0
+            if idx.size < 2:
+                raise ValueError(f"class {source_class} has {idx.size} sample(s); a train/test split needs 2")
+            n_test = max(1, int(idx.size * TEST_FRACTION))
             test_rows.append(data.features[idx[:n_test]])
             test_labels.append(np.full(n_test, slot, dtype=np.int64))
             train_rows.append(data.features[idx[n_test:]])
             train_labels.append(np.full(idx.size - n_test, slot, dtype=np.int64))
         seen = position + size
-        train_phases.append(
-            LabeledSet(np.concatenate(train_rows), np.concatenate(train_labels), seen)
-        )
-        test_feats = np.concatenate([r for r in test_rows if len(r)]) if any(len(r) for r in test_rows) else None
-        if test_feats is None:
-            # degenerate tiny classes: fall back to the train rows so evaluation stays defined
-            test_phases.append(train_phases[-1])
-        else:
-            test_phases.append(
-                LabeledSet(test_feats, np.concatenate(test_labels), seen)
-            )
+        train_phases.append(LabeledSet(np.concatenate(train_rows), np.concatenate(train_labels), seen))
+        test_phases.append(LabeledSet(np.concatenate(test_rows), np.concatenate(test_labels), seen))
         position = seen
-    return PhaseStream(
-        phases=tuple(train_phases),
-        test_phases=tuple(test_phases),
-        initial_classes=initial_classes,
-        increment=increment,
-        class_order=class_order,
-        seed=seed,
-    )
+    return PhaseStream(phases=tuple(train_phases), test_phases=tuple(test_phases), class_order=class_order)

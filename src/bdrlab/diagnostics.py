@@ -2,10 +2,12 @@
 
 Pure functions over recorded traces plus the curvature estimate behind the
 peak-forgetting bound. The per-phase summaries return the dicts that the run
-report stores, with plain ``float`` and ``int`` values. The peak is bounded by
-(N_s / 2) * lr^2 * sigma_max(sum of old-phase Hessians) * sum of squared
-gradient norms up to the peak, with equality in the underlying gradient
-decomposition exactly when new-class and old-class contributions match.
+report stores, with plain ``float`` and ``int`` values; per-step values stay
+in the step trace. The peak is bounded by (N_s / 2) * lr^2 *
+sigma_max(sum of old-phase Hessians) * sum of squared gradient norms up to
+the peak, with equality in the underlying gradient decomposition exactly when
+new-class and old-class contributions match: ``cauchy_gap`` is that
+decomposition's gap, the one formula both the report and ``verify`` use.
 sigma_max is taken by Lanczos on Hessian-vector products, as PyHessian does
 (Yao et al. 2020, arXiv:1912.07145).
 """
@@ -28,22 +30,14 @@ def f_max(old_loss_trace):
     return float(t[peak] - t[0]), peak
 
 
-def cauchy_check(grad_new_sum, grad_old_sum, n_total):
-    """Evaluate both sides of the gradient-balance inequality.
-
-    lhs = ||(a + b) / N||^2, rhs = 4 (a . b) / N^2; the gap equals
-    ||a - b||^2 / N^2, so it is zero exactly when the two contribution sums
-    coincide.
+def cauchy_gap(grad_total_sq, contrib_inner, n):
+    """Gap of the gradient-balance inequality over a batch of ``n`` rows:
+    ||(a + b) / n||^2 - 4 (a . b) / n^2, from the first term and a . b for
+    the new-class and old-class contribution sums a and b. It equals
+    ||a - b||^2 / n^2, so it is zero exactly when the two sums coincide.
+    Elementwise over arrays, so one call covers a phase's steps.
     """
-    a = np.asarray(grad_new_sum, dtype=np.float64).ravel()
-    b = np.asarray(grad_old_sum, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"contribution shapes differ: {a.shape} vs {b.shape}")
-    scale = float(n_total) * float(n_total)
-    s = a + b
-    lhs = float(np.dot(s, s)) / scale
-    rhs = 4.0 * float(np.dot(a, b)) / scale
-    return lhs, rhs, lhs - rhs
+    return grad_total_sq - 4.0 * contrib_inner / (n * n)
 
 
 def metrics(per_phase_accuracies):
@@ -145,7 +139,9 @@ def peak_bound(steps_to_peak, lr, sigma_max, grad_sq_sum):
 
 def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, curvature):
     """Assemble the per-phase bound evaluation from recorded step data and
-    the old-phase curvature estimate (a ``TopEigen``).
+    the old-phase curvature estimate (a ``TopEigen``). Of the per-step gaps
+    only the smallest is kept; the step trace holds their inputs, and the
+    peak rise is the phase's ``destruction`` ``f_max``.
 
     The unknown additive constant in the bound is not estimated, so the
     margin ``bound_minus_f_max`` is reported, never asserted.
@@ -156,8 +152,7 @@ def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, curv
     n = np.asarray(batch_sizes, dtype=np.float64)
     grad_sum = float(gsq[:peak_step].sum())
     bound = peak_bound(peak_step, lr, curvature.value, grad_sum)
-    rhs = 4.0 * inner / (n * n)
-    gaps = gsq - rhs
+    gaps = cauchy_gap(gsq, inner, n)
     return {
         "sigma_max": curvature.value,
         "sigma_converged": curvature.converged,
@@ -165,9 +160,6 @@ def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, curv
         "sigma_residual": curvature.residual,
         "grad_sq_sum_to_peak": grad_sum,
         "bound": float(bound),
-        "f_max": rise,
         "bound_minus_f_max": float(bound - rise),
-        "cauchy_lhs": [float(v) for v in gsq],
-        "cauchy_rhs": [float(v) for v in rhs],
         "min_cauchy_gap": float(gaps.min()) if gaps.size else 0.0,
     }

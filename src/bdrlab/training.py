@@ -5,7 +5,9 @@ new classes, and trains on the current samples merged with the replayed
 exemplars. The total loss is the chosen classification variant plus a
 temperature-softened consolidation term against the frozen previous model.
 Every step also records the gradient decomposition into new-class and
-old-class contribution sums, which feeds the destruction diagnostics.
+old-class contribution sums, which feeds the destruction diagnostics. The
+step trace is the run's only per-step record: the report entry of a phase
+holds per-phase summaries of it.
 
 The classifier runs its own numpy forward and backward pass over plain
 float64 arrays. Every loss head is closed-form: it returns the loss and its
@@ -24,7 +26,8 @@ variant, so a run splits in two: ``first_phase`` trains phase 0, fills the
 exemplar memory and estimates phase 1's old-phase curvature, and
 ``run_experiment`` continues from copies of that record. The variants of a
 seed share one record; ``bdrlab run`` computes it once per seed and charges
-it to the seed's first variant.
+it to the seed's first variant. Every phase, the first included, closes in
+``_close_phase``: exemplars, evaluation, entry, the next phase's curvature.
 """
 
 from __future__ import annotations
@@ -500,20 +503,6 @@ def _old_phase_curvature(model, old_sets, seed=0):
     return hessian_top_eigen(_old_phase_hvp(model, old_sets), _flatten(model.params()).size, seed=seed)
 
 
-def _evaluate(model, stream: PhaseStream, phase):
-    """Overall / old-group / new-group test accuracy over all seen classes."""
-    test = concat_sets(stream.test_phases[: phase + 1])
-    pred = model.predict(test.features)
-    correct = pred == test.labels
-    overall = 100.0 * float(correct.mean())
-    new_start = stream.class_range(phase).start
-    new_mask = test.labels >= new_start
-    acc_new = 100.0 * float(correct[new_mask].mean()) if new_mask.any() else None
-    old_mask = ~new_mask
-    acc_old = 100.0 * float(correct[old_mask].mean()) if old_mask.any() else None
-    return overall, acc_old, acc_new
-
-
 @dataclass
 class RunResult:
     report: dict
@@ -537,37 +526,43 @@ class FirstPhase:
     sigma_max: TopEigen | None  # phase 1's old-phase curvature estimate; None with one phase
 
 
-def _phase_entry(stream, t, train_set, accuracy):
-    overall, acc_old, acc_new = accuracy
-    return {
+def _close_phase(stream, t, model, memory, train_size, seed):
+    """Store phase t's exemplars, and build its report entry from the test
+    accuracy over every class seen so far, overall and split into the old
+    and the new classes. Returns the entry and the next phase's old-phase
+    curvature, taken at the model as phase t leaves it (None after the last
+    phase)."""
+    memory.update(stream.phases[t], features_of=lambda x: model.forward(x).features)
+    test = concat_sets(stream.test_phases[: t + 1])
+    correct = model.predict(test.features) == test.labels
+    old = test.labels < stream.classes_before(t)
+    entry = {
         "phase": t,
         "classes_seen": stream.classes_through(t),
-        "train_size": train_set.n,
-        "accuracy": {"overall": overall, "old_group": acc_old, "new_group": acc_new},
+        "train_size": train_size,
+        "accuracy": {
+            "overall": 100.0 * float(correct.mean()),
+            "old_group": 100.0 * float(correct[old].mean()) if old.any() else None,
+            "new_group": 100.0 * float(correct[~old].mean()),  # every class holds out a test sample
+        },
         "destruction": None,
         "bound": None,
     }
+    sigma_max = None
+    if t + 1 < stream.num_phases:
+        sigma_max = _old_phase_curvature(model, stream.phases[: t + 1], seed=seed)
+    return entry, sigma_max
 
 
 def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
     """Train phase 0, fill the exemplar memory and take phase 1's curvature."""
     config = replace(config, loss_variant=LOSS_CE)
-    model = Classifier(
-        stream.dim, config.hidden, len(stream.class_range(0)), rng_for(config.seed, INIT, 0)
-    )
+    model = Classifier(stream.dim, config.hidden, stream.classes_through(0), rng_for(config.seed, INIT, 0))
     memory = ExemplarMemory(
-        mode=config.memory_mode,
-        budget=config.memory_budget,
-        selection=config.memory_selection,
-        seed=config.seed,
+        mode=config.memory_mode, budget=config.memory_budget, selection=config.memory_selection, seed=config.seed
     )
-    phase = stream.phases[0]
-    model, trace = train_phase(model, phase, config, 0)
-    memory.update(phase, features_of=lambda x: model.forward(x).features)
-    entry = _phase_entry(stream, 0, phase, _evaluate(model, stream, 0))
-    sigma_max = None
-    if len(stream.phases) > 1:
-        sigma_max = _old_phase_curvature(model, stream.phases[:1], seed=config.seed)
+    model, trace = train_phase(model, stream.phases[0], config, 0)
+    entry, sigma_max = _close_phase(stream, 0, model, memory, stream.phases[0].n, config.seed)
     return FirstPhase(config, model, memory, trace, entry, sigma_max)
 
 
@@ -591,18 +586,14 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
     memory = copy.deepcopy(start.memory)
     traces = [start.trace]
     phase_reports = [copy.deepcopy(start.entry)]
-    for t in range(1, len(stream.phases)):
-        phase = stream.phases[t]
+    sigma_max = start.sigma_max
+    for t in range(1, stream.num_phases):
         probe = None
         balance_state = None
         old_count = stream.classes_before(t)
-        if t == 1:
-            sigma_max = start.sigma_max
-        else:
-            sigma_max = _old_phase_curvature(model, stream.phases[:t], seed=config.seed)
         teacher = model.copy()
         model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
-        train_set = merged_training_set(memory, phase)
+        train_set = merged_training_set(memory, stream.phases[t])
         if config.loss_variant == LOSS_BDR:
             acts = model.forward(train_set.features)
             source = acts.features if config.variance_source == "feature" else acts.logits
@@ -620,8 +611,7 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
             model, train_set, config, t, balance_state, teacher, old_count, probe
         )
         traces.append(trace)
-        memory.update(phase, features_of=lambda x: model.forward(x).features)
-        entry = _phase_entry(stream, t, train_set, _evaluate(model, stream, t))
+        entry, next_sigma_max = _close_phase(stream, t, model, memory, train_set.n, config.seed)
         old_losses = trace.column("loss_old")
         entry["destruction"] = destruction_report(old_losses, trace.column("epoch"))
         entry["bound"] = bound_report(
@@ -633,9 +623,10 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
             sigma_max,
         )
         phase_reports.append(entry)
+        sigma_max = next_sigma_max
     avg, last = metrics([entry["accuracy"]["overall"] for entry in phase_reports])
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "variant": config.loss_variant,
         "seed": config.seed,
         "phases": phase_reports,

@@ -218,7 +218,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         main(["run", str(config_path), "--out", str(out)])
         body = read_report(out / "bdr_0.json")["body"]
-        assert body["schema_version"] == 1
+        assert body["schema_version"] == 2
         assert body["config"]["classes"] == 4
         for entry in body["phases"]:
             acc = entry["accuracy"]
@@ -316,6 +316,7 @@ class TestConfigErrorsAtParseTime:
             ({"hidden = 12, 12": "hidden = 0"}, "'hidden' in [train]"),
             ({"hidden = 12, 12": "hidden = 8, 0"}, "'hidden' in [train]"),
             ({"per_class = 36": "per_class = 0"}, "'per_class' in [dataset]"),
+            ({"per_class = 36": "per_class = 1"}, "'per_class' in [dataset]"),
             ({"dim = 4": "dim = 1"}, "'dim' in [dataset]"),
             ({"separation = 3.0": "separation = 0"}, "'separation' in [dataset]"),
             ({"kind = gaussian": "kind = rings\nnoise = -1"}, "'noise' in [dataset]"),
@@ -335,6 +336,7 @@ class TestConfigErrorsAtParseTime:
             "zero_hidden",
             "zero_second_hidden",
             "zero_per_class",
+            "one_per_class",
             "one_dim",
             "zero_separation",
             "negative_ring_noise",
@@ -427,10 +429,12 @@ class TestCmdSweep:
 
 class TestIdxDatasetEndToEnd:
     @staticmethod
-    def _write_idx_config(tmp_path, classes=4, n=160, side=4):
+    def _write_idx_config(tmp_path, classes=4, n=160, side=4, counts=None):
+        counts = counts or [n // classes] * classes  # samples per label
+        labels = np.repeat(np.arange(len(counts)), counts).astype(np.uint8)
+        n = labels.size
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (n, side, side), dtype=np.uint8)
-        labels = np.repeat(np.arange(classes), n // classes).astype(np.uint8)
         ipath = tmp_path / "images.idx"
         lpath = tmp_path / "labels.idx"
         ipath.write_bytes(struct.pack(">IIII", 0x00000803, n, side, side) + images.tobytes())
@@ -483,6 +487,20 @@ seeds = 0
         assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: bad value for 'budget' in [memory]")
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [([40, 40, 40, 0, 40, 40], "class 3 has 0 sample(s)"), ([40, 40, 1, 40], "class 2 has 1 sample(s)")],
+        ids=["skipped_label", "single_sample_class"],
+    )
+    def test_class_without_a_test_sample_is_a_data_error(self, tmp_path, capsys, counts, named):
+        # each class holds one sample out for testing, so it needs two
+        config_path, _ = self._write_idx_config(tmp_path, counts=counts)
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and named in err
+        assert not list(out.glob("*.json"))
 
     def test_truncated_idx_file_names_the_file(self, tmp_path, capsys):
         config_path, ipath = self._write_idx_config(tmp_path)

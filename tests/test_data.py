@@ -209,6 +209,12 @@ class TestSplitPhases:
             for count in test.class_counts().values():
                 assert count == 20
 
+    def test_class_without_a_test_sample_rejected(self):
+        labels = np.array([0, 0, 0, 1, 1, 1, 2])
+        data = LabeledSet(np.random.default_rng(0).standard_normal((7, 2)), labels, 3)
+        with pytest.raises(ValueError, match="class 2 has 1 sample"):
+            split_phases(data, 2, 1, seed=0)
+
     def test_single_phase_stream_allowed(self):
         data = make_gaussian_mixture(4, 12, 3, 4.0, seed=5)
         stream = split_phases(data, 4, 1, seed=5)

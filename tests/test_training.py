@@ -7,6 +7,7 @@ import pytest
 from bdrlab import balance
 from bdrlab.balance import log_softmax
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
+from bdrlab.diagnostics import cauchy_gap
 from bdrlab.seeding import BATCH, INIT, rng_for
 from bdrlab.tensor import Tensor, finite_diff_check, matmul, relu
 from bdrlab.training import (
@@ -414,12 +415,37 @@ class TestRunExperiment:
 
     def test_destruction_and_bound_reported_for_incremental_phases(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=8), 2, 2, seed=8)
-        report = run_experiment(stream, small_config()).report
+        result = run_experiment(stream, small_config())
+        report = result.report
         assert report["phases"][0]["destruction"] is None
         entry = report["phases"][1]
         assert entry["destruction"]["f_max"] >= 0.0
         assert entry["bound"]["min_cauchy_gap"] >= -1e-8
-        assert len(entry["bound"]["cauchy_lhs"]) == len(entry["bound"]["cauchy_rhs"])
+        trace = result.traces[1]
+        assert len(trace.column("grad_total_sq")) == len(trace.column("contrib_inner"))
+
+    def test_report_holds_per_phase_summaries_and_the_trace_rebuilds_the_gap(self):
+        # schema 2: no per-step list in the report; the step trace, whose rows
+        # the step CSV holds, rebuilds the smallest gap bit for bit
+        stream = split_phases(make_gaussian_mixture(6, 40, 4, 3.0, seed=18), 2, 2, seed=18)
+        config = small_config(batch_size=12)
+        result = run_experiment(stream, config)
+        assert result.report["schema_version"] == 2
+        for entry, trace in zip(result.report["phases"][1:], result.traces[1:]):
+            assert set(entry["destruction"]) == {"initial", "peak", "f_max", "step_of_peak", "converged", "box"}
+            assert set(entry["bound"]) == {
+                "sigma_max", "sigma_converged", "sigma_hvps", "sigma_residual",
+                "grad_sq_sum_to_peak", "bound", "bound_minus_f_max", "min_cauchy_gap",
+            }
+            assert not any(isinstance(v, list) for v in entry["bound"].values())
+            size, batch = entry["train_size"], config.batch_size
+            assert size % batch != 0  # the short last batch of each epoch is covered
+            sizes = [min(batch, size - start) for start in range(0, size, batch)] * config.epochs
+            np.testing.assert_array_equal(trace.column("batch_size"), sizes)
+            gaps = cauchy_gap(
+                trace.column("grad_total_sq"), trace.column("contrib_inner"), np.asarray(sizes, dtype=np.float64)
+            )
+            assert float(gaps.min()) == entry["bound"]["min_cauchy_gap"]
 
     def test_bound_records_how_the_curvature_estimate_ended(self):
         stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=8), 2, 2, seed=8)
@@ -446,6 +472,17 @@ class TestRunExperiment:
         assert classes == set(range(4))
         psi = np.array([r[2] for r in rows if r[0] == min(steps)])
         assert psi.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_logit_variance_source_drives_the_schedule(self):
+        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=10), 2, 2, seed=10)
+        omegas = {}
+        for source in ("feature", "logit"):
+            rows = run_experiment(stream, small_config(loss_variant="bdr", variance_source=source)).traces[1].balance_rows
+            assert rows and np.isfinite(np.asarray(rows, dtype=np.float64)).all()
+            omegas[source] = np.array([row[3] for row in rows])
+        assert omegas["feature"].shape == omegas["logit"].shape
+        assert not np.array_equal(omegas["feature"], omegas["logit"])
 
 
 def _trace_rows(result):
