@@ -152,9 +152,9 @@ def _execute(cfg: ExperimentConfig, out_dir, jobs):
 
     With ``jobs`` > 1 a later seed may already be running at the failure; it
     runs to its end, and stderr names each report it writes, so that no
-    report on disk goes unnamed.
+    report on disk goes unnamed. The first write creates ``out_dir``, so a
+    run that fails before it leaves no directory behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
         results = _pooled(cfg, out_dir, jobs)
     else:

@@ -11,18 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
-
-STEP_COLUMNS = (
-    "phase",
-    "epoch",
-    "step",
-    "loss_new",
-    "loss_old",
-    "grad_new_norm",
-    "grad_old_norm",
-    "grad_total_sq",
-    "contrib_inner",
-)
+from dataclasses import fields
 
 BALANCE_COLUMNS = ("step", "class", "psi", "omega", "pi_hat")
 
@@ -75,8 +64,10 @@ def _csv_text(columns, rows):
 
 
 def write_step_csv(path, records):
-    rows = [[getattr(r, c) for c in STEP_COLUMNS] for r in records]
-    atomic_write_text(path, _csv_text(STEP_COLUMNS, rows))
+    """records: a non-empty list of one dataclass's instances; its fields, in
+    order, are the columns."""
+    columns = [f.name for f in fields(records[0])]
+    atomic_write_text(path, _csv_text(columns, [[getattr(r, c) for c in columns] for r in records]))
 
 
 def write_balance_csv(path, rows):

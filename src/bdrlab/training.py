@@ -21,13 +21,15 @@ row delta, so summing over the smaller of the new-class and old-class row
 groups gives its contribution directly (Goodfellow 2015,
 arXiv:1510.01799), and the other group's is the batch gradient minus it.
 
-Phase 0 has no old classes and trains with plain cross-entropy whatever the
-variant, so a run splits in two: ``first_phase`` trains phase 0, fills the
-exemplar memory and estimates phase 1's old-phase curvature, and
-``run_experiment`` continues from copies of that record. The variants of a
-seed share one record; ``bdrlab run`` computes it once per seed and charges
-it to the seed's first variant. Every phase, the first included, closes in
-``_close_phase``: exemplars, evaluation, entry, the next phase's curvature.
+A phase is set up in ``train_phase``, which decides before the first step
+what the phase trains with: the loss, bdr's offset schedule and where
+``loss_old`` comes from. It is closed in ``_close_phase``, which stores the
+exemplars, builds the whole report entry and takes the next phase's
+old-phase curvature. Phase 0 has no old classes and trains with plain
+cross-entropy whatever the variant, so a run splits in two: ``first_phase``
+trains and closes phase 0, and ``run_experiment`` continues from copies of
+that record. The variants of a seed share one record; ``bdrlab run``
+computes it once per seed and charges it to the seed's first variant.
 """
 
 from __future__ import annotations
@@ -289,35 +291,42 @@ class StepTrace:
         return np.asarray([getattr(r, name) for r in self.rows])
 
 
-@dataclass
-class BalanceState:
-    stats: balance.ClassStats
-    schedule: balance.OffsetSchedule
-
-
 def _flatten(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
 
-def _variant_loss_fn(variant, k, labels, schedule):
-    """Per-batch classification loss closure for the active variant."""
+def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
+    """The classification loss of a phase that trains ``model`` on ``data``
+    with ``variant``: a ``(logits, labels) -> (loss, dlogits)`` closure, and
+    for bdr the step's balance update (None for the other variants).
+
+    cr, bdr and reweight read the class priors of ``data``. bdr freezes its
+    offset schedule from those priors and the training-status statistics of
+    one pass of ``model`` over ``data``; its update ``track(step, acts, y)``
+    blends a batch into those statistics, moves the schedule's offsets, and
+    returns the step's (step, class, psi, omega, pi_hat) balance rows.
+    """
+    k = model.n_classes
     if variant == LOSS_CE:
         zero = np.zeros(k)
-        return lambda logits, y: ce_with_offset(logits, zero, y)
+        return (lambda logits, y: ce_with_offset(logits, zero, y)), None
+    priors = balance.class_priors(np.bincount(data.labels, minlength=k))
     if variant == LOSS_CR:
-        counts = np.bincount(labels, minlength=k)
-        priors = balance.class_priors(counts)
-        return lambda logits, y: balance.bal_ce_loss(logits, y, priors)
-    if variant == LOSS_BDR:
-        if schedule is None:
-            raise ValueError("bdr training needs an initialized offset schedule")
-        return lambda logits, y: balance.bdr_loss(logits, y, schedule)
+        return (lambda logits, y: balance.bal_ce_loss(logits, y, priors)), None
     if variant == LOSS_REWEIGHT:
-        counts = np.bincount(labels, minlength=k)
-        priors = balance.class_priors(counts)
         class_weights = (1.0 / priors) / k
-        return lambda logits, y: weighted_ce(logits, y, class_weights[y])
-    raise ValueError(f"unknown loss variant {variant!r}")
+        return (lambda logits, y: weighted_ce(logits, y, class_weights[y])), None
+    if variant != LOSS_BDR:
+        raise ValueError(f"unknown loss variant {variant!r}")
+    source = "features" if config.variance_source == "feature" else "logits"
+    stats = balance.stats_from_pass(getattr(model.forward(data.features), source), data.labels, k)
+    schedule = balance.init_schedule(priors, stats.weights(), config.m, config.m_prime, config.beta, config.tau)
+
+    def track(step, acts, y):
+        omega = balance.momentum_update(stats, schedule, getattr(acts, source), y)
+        return [(step, c, float(schedule.priors[c]), float(omega[c]), float(schedule.pi_hat[c])) for c in range(k)]
+
+    return (lambda logits, y: balance.bdr_loss(logits, y, schedule)), track
 
 
 def _contribution_sums(flat, acts, deltas, new_rows):
@@ -350,38 +359,47 @@ def _contribution_sums(flat, acts, deltas, new_rows):
     return (direct, rest) if new_is_direct else (rest, direct)
 
 
-def train_phase(
-    model,
-    data: LabeledSet,
-    config: TrainConfig,
-    phase_index,
-    balance_state: BalanceState | None = None,
-    teacher: Classifier | None = None,
-    old_classes=0,
-    old_loss_probe=None,
-):
-    """SGD over one phase's merged training set.
+def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teacher=None, old_classes=0):
+    """SGD of ``model``, in place, over one phase's merged training set;
+    returns the phase's ``StepTrace``.
 
-    Phase 0 (``old_classes`` = 0) trains with plain cross-entropy regardless
-    of the configured variant; later phases add the consolidation term when a
-    teacher is given. The teacher is frozen and the set fixed, so its logits
-    are computed once, in ``batch_size`` chunks in training-set order, and
-    each step reads its rows. A row's BLAS result can depend on the rows
-    sharing its matmul, so these logits may differ from per-batch ones at
-    rounding level. Returns the model and the per-step trace.
+    Everything the phase trains with is decided here, before the first step.
+    Phase 0 (``old_classes`` = 0) trains with plain cross-entropy whatever
+    the configured variant, and bdr freezes its offset schedule from the
+    model and the set as the phase starts (``_phase_loss``). ``loss_old`` is
+    the consolidation term against ``teacher`` when one is given and
+    ``distill_weight`` is positive. The teacher is frozen and the set fixed,
+    so its logits are computed once, in ``batch_size`` chunks in
+    training-set order, and each step reads its rows; a row's BLAS result
+    can depend on the rows sharing its matmul, so these logits may differ
+    from per-batch ones at rounding level. Otherwise ``loss_old`` is the
+    plain cross-entropy, at each step, of the set's old-class rows: in a run
+    these are the replayed exemplars, which ``merged_training_set`` puts
+    first. That cross-entropy takes no part in the update.
     """
     feats = data.features
     labels = data.labels
     n = data.n
-    k = model.n_classes
     variant = config.loss_variant if old_classes > 0 else LOSS_CE
-    schedule = balance_state.schedule if balance_state is not None else None
-    loss_fn = _variant_loss_fn(variant, k, labels, schedule)
-    distilling = teacher is not None and config.distill_weight > 0 and old_classes > 0
-    if distilling:
+    loss_fn, track = _phase_loss(variant, model, data, config)
+    old_loss = None  # (logits, batch rows) -> (loss_old, its dlogits or None)
+    replayed = labels < old_classes
+    if teacher is not None and config.distill_weight > 0 and old_classes > 0:
         teacher_logits = np.concatenate(
             [teacher.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
         )
+
+        def old_loss(logits, idx):
+            return distill_loss(
+                logits, teacher_logits[idx], old_classes, config.distill_temperature, config.distill_weight
+            )
+
+    elif replayed.any():
+        replay_x, replay_y, zero = feats[replayed], labels[replayed], np.zeros(model.n_classes)
+
+        def old_loss(logits, idx):
+            return ce_with_offset(model.forward(replay_x).logits, zero, replay_y)[0], None
+
     optimizer = SGD(model.params(), config.lr, config.sgd_momentum)
     rng = rng_for(config.seed, BATCH, phase_index)
     trace = StepTrace()
@@ -394,30 +412,13 @@ def train_phase(
             idx = perm[start : start + config.batch_size]
             y = labels[idx]
             acts = model.forward(feats[idx])
-            if balance_state is not None:
-                source = acts.features if config.variance_source == "feature" else acts.logits
-                omega = balance.momentum_update(balance_state.stats, schedule, source, y)
-                for cls in range(k):
-                    trace.balance_rows.append(
-                        (step, cls, float(schedule.priors[cls]), float(omega[cls]), float(schedule.pi_hat[cls]))
-                    )
+            if track is not None:
+                trace.balance_rows += track(step, acts, y)
             # one backward per loss term, summed per parameter afterwards: a
             # single backward over the summed dlogits would round differently
             try:
                 loss_new, dlogits = loss_fn(acts.logits, y)
-                old_dlogits = None
-                loss_old = 0.0
-                if distilling:
-                    loss_old, old_dlogits = distill_loss(
-                        acts.logits,
-                        teacher_logits[idx],
-                        old_classes,
-                        config.distill_temperature,
-                        config.distill_weight,
-                    )
-                elif old_loss_probe is not None:
-                    probe_x, probe_y = old_loss_probe
-                    loss_old = ce_with_offset(model.forward(probe_x).logits, np.zeros(k), probe_y)[0]
+                loss_old, old_dlogits = (0.0, None) if old_loss is None else old_loss(acts.logits, idx)
             except FloatingPointError as exc:
                 raise DivergenceError(
                     f"non-finite loss at phase {phase_index}, step {step}: {exc}"
@@ -449,7 +450,7 @@ def train_phase(
                 )
             )
             step += 1
-    return model, trace
+    return trace
 
 
 def _old_phase_hvp(model, old_sets):
@@ -526,12 +527,14 @@ class FirstPhase:
     sigma_max: TopEigen | None  # phase 1's old-phase curvature estimate; None with one phase
 
 
-def _close_phase(stream, t, model, memory, train_size, seed):
-    """Store phase t's exemplars, and build its report entry from the test
-    accuracy over every class seen so far, overall and split into the old
-    and the new classes. Returns the entry and the next phase's old-phase
-    curvature, taken at the model as phase t leaves it (None after the last
-    phase)."""
+def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
+    """Close phase t, trained on ``data`` with step trace ``trace``: store its
+    exemplars and build its report entry. The entry holds the test accuracy
+    over every class seen so far, overall and split into the old and the new
+    classes, and from phase 1 on the destruction and the bound reports;
+    ``sigma_max`` is the phase's old-phase curvature, taken when the previous
+    phase closed. Returns the entry and the next phase's curvature, taken at
+    the model as phase t leaves it (None after the last phase)."""
     memory.update(stream.phases[t], features_of=lambda x: model.forward(x).features)
     test = concat_sets(stream.test_phases[: t + 1])
     correct = model.predict(test.features) == test.labels
@@ -539,7 +542,7 @@ def _close_phase(stream, t, model, memory, train_size, seed):
     entry = {
         "phase": t,
         "classes_seen": stream.classes_through(t),
-        "train_size": train_size,
+        "train_size": data.n,
         "accuracy": {
             "overall": 100.0 * float(correct.mean()),
             "old_group": 100.0 * float(correct[old].mean()) if old.any() else None,
@@ -548,10 +551,21 @@ def _close_phase(stream, t, model, memory, train_size, seed):
         "destruction": None,
         "bound": None,
     }
-    sigma_max = None
+    if t > 0:
+        old_losses = trace.column("loss_old")
+        entry["destruction"] = destruction_report(old_losses, trace.column("epoch"))
+        entry["bound"] = bound_report(
+            old_losses,
+            trace.column("grad_total_sq"),
+            trace.column("contrib_inner"),
+            trace.column("batch_size"),
+            config.lr,
+            sigma_max,
+        )
+    next_sigma_max = None
     if t + 1 < stream.num_phases:
-        sigma_max = _old_phase_curvature(model, stream.phases[: t + 1], seed=seed)
-    return entry, sigma_max
+        next_sigma_max = _old_phase_curvature(model, stream.phases[: t + 1], seed=config.seed)
+    return entry, next_sigma_max
 
 
 def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
@@ -561,8 +575,8 @@ def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
     memory = ExemplarMemory(
         mode=config.memory_mode, budget=config.memory_budget, selection=config.memory_selection, seed=config.seed
     )
-    model, trace = train_phase(model, stream.phases[0], config, 0)
-    entry, sigma_max = _close_phase(stream, 0, model, memory, stream.phases[0].n, config.seed)
+    trace = train_phase(model, stream.phases[0], config, 0)
+    entry, sigma_max = _close_phase(stream, 0, model, memory, stream.phases[0], trace, config, None)
     return FirstPhase(config, model, memory, trace, entry, sigma_max)
 
 
@@ -571,7 +585,9 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
 
     ``start`` is the run's first phase, from ``first_phase`` on the same
     stream with a config that differs at most in ``loss_variant``; without
-    it the first phase is trained here.
+    it the first phase is trained here. Each later phase starts from a copy
+    of the previous model as its teacher, grows the head, merges the replay
+    set, trains and closes.
     """
     if start is None:
         start = first_phase(stream, config)
@@ -588,42 +604,12 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
     phase_reports = [copy.deepcopy(start.entry)]
     sigma_max = start.sigma_max
     for t in range(1, stream.num_phases):
-        probe = None
-        balance_state = None
-        old_count = stream.classes_before(t)
         teacher = model.copy()
         model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
         train_set = merged_training_set(memory, stream.phases[t])
-        if config.loss_variant == LOSS_BDR:
-            acts = model.forward(train_set.features)
-            source = acts.features if config.variance_source == "feature" else acts.logits
-            stats = balance.stats_from_pass(source, train_set.labels, model.n_classes)
-            priors = balance.class_priors(np.bincount(train_set.labels, minlength=model.n_classes))
-            schedule = balance.init_schedule(
-                priors, stats.weights(), config.m, config.m_prime, config.beta, config.tau
-            )
-            balance_state = BalanceState(stats, schedule)
-        if config.distill_weight <= 0:
-            replay = memory.as_labeled_set(old_count)
-            if replay is not None:
-                probe = (replay.features, replay.labels)
-        model, trace = train_phase(
-            model, train_set, config, t, balance_state, teacher, old_count, probe
-        )
-        traces.append(trace)
-        entry, next_sigma_max = _close_phase(stream, t, model, memory, train_set.n, config.seed)
-        old_losses = trace.column("loss_old")
-        entry["destruction"] = destruction_report(old_losses, trace.column("epoch"))
-        entry["bound"] = bound_report(
-            old_losses,
-            trace.column("grad_total_sq"),
-            trace.column("contrib_inner"),
-            trace.column("batch_size"),
-            config.lr,
-            sigma_max,
-        )
+        traces.append(train_phase(model, train_set, config, t, teacher, stream.classes_before(t)))
+        entry, sigma_max = _close_phase(stream, t, model, memory, train_set, traces[-1], config, sigma_max)
         phase_reports.append(entry)
-        sigma_max = next_sigma_max
     avg, last = metrics([entry["accuracy"]["overall"] for entry in phase_reports])
     report = {
         "schema_version": 2,

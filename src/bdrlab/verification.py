@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from . import balance
 from .balance import ce_with_offset, weighted_ce
 from .data import LabeledSet
-from .diagnostics import cauchy_gap, f_max, hessian_top_eigen
+from .diagnostics import cauchy_gap, f_max, hessian_top_eigen, peak_bound
 from .tensor import finite_diff_check
 from .training import Activations, Classifier, _flatten, _old_phase_hvp, distill_loss
 
@@ -387,7 +387,7 @@ def check_toy_bound(problems=10, seed=5):
             old_losses.append(0.5 * float(theta @ old_hessian @ theta))
         rise, peak = f_max(old_losses)
         sigma = hessian_top_eigen(lambda v: old_hessian @ v, dim, tol=1e-10, max_iter=5000, seed=seed).value
-        bound = 0.5 * peak * lr * lr * sigma * float(np.sum(grad_sq[:peak]))
+        bound = peak_bound(peak, lr, sigma, float(np.sum(grad_sq[:peak])))
         margin = bound - rise
         ok = ok and margin >= -1e-9 * max(1.0, bound)
         details.append(margin)

@@ -3,7 +3,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +12,8 @@ import pytest
 import bdrlab
 from bdrlab.cli import build_stream, main
 from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, serialize_config
-from bdrlab.reporting import STEP_COLUMNS, body_hash, read_report
-from bdrlab.training import run_experiment
+from bdrlab.reporting import body_hash, read_report
+from bdrlab.training import StepRecord, run_experiment
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 
@@ -246,7 +246,7 @@ class TestCmdRun:
         header = (out / "ce_0_steps.csv").read_text().splitlines()[0]
         assert header == (
             "phase,epoch,step,loss_new,loss_old,grad_new_norm,grad_old_norm,"
-            "grad_total_sq,contrib_inner"
+            "grad_total_sq,contrib_inner,batch_size"
         )
 
     def test_step_csv_rows_are_the_trace(self, tmp_path):
@@ -259,10 +259,11 @@ class TestCmdRun:
         records = [r for trace in result.traces for r in trace.rows]
         lines = (out / "bdr_0_steps.csv").read_text().splitlines()[1:]
         assert len(lines) == len(records) > 0
+        columns = [f.name for f in fields(StepRecord)]
         for line, record in zip(lines, records):
-            fields = line.split(",")
-            assert len(fields) == len(STEP_COLUMNS) == 9
-            for text, column in zip(fields, STEP_COLUMNS):
+            values = line.split(",")
+            assert len(values) == len(columns) == 10
+            for text, column in zip(values, columns):
                 value = getattr(record, column)
                 assert type(value)(text) == value, column
 
@@ -476,17 +477,21 @@ seeds = 0
     def test_class_count_the_protocol_cannot_split_is_a_config_error(self, tmp_path, capsys):
         # 5 classes cannot be dealt as 2 then blocks of 2; known only once the file is read
         config_path, _ = self._write_idx_config(tmp_path, classes=5, n=150)
-        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "[protocol]" in err and "cannot split 5 classes" in err
+        assert not out.exists()
 
     def test_global_budget_below_the_file_classes_is_a_config_error(self, tmp_path, capsys):
         # 4 classes share a global budget of 3; known only once the file is read
         config_path, _ = self._write_idx_config(tmp_path)
         config_path.write_text(config_path.read_text().replace("budget = 2", "mode = global\nbudget = 3"))
-        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: bad value for 'budget' in [memory]")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "counts, named",
@@ -500,7 +505,7 @@ seeds = 0
         assert main(["run", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and named in err
-        assert not list(out.glob("*.json"))
+        assert not out.exists()
 
     def test_truncated_idx_file_names_the_file(self, tmp_path, capsys):
         config_path, ipath = self._write_idx_config(tmp_path)

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bdrlab import balance
-from bdrlab.balance import log_softmax
+from bdrlab.balance import ce_with_offset, log_softmax
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
 from bdrlab.diagnostics import cauchy_gap
+from bdrlab.memory import merged_training_set
 from bdrlab.seeding import BATCH, INIT, rng_for
 from bdrlab.tensor import Tensor, finite_diff_check, matmul, relu
 from bdrlab.training import (
@@ -19,7 +19,7 @@ from bdrlab.training import (
     _flatten,
     _old_phase_curvature,
     _old_phase_hvp,
-    _variant_loss_fn,
+    _phase_loss,
     distill_loss,
     first_phase,
     run_experiment,
@@ -173,11 +173,9 @@ class TestKernelAgainstTape:
         model = Classifier(6, (9, 7), self.K, rng_for(1, INIT, 0))
         x = rng.standard_normal((23, 6))
         y = rng.permutation(np.arange(23) % self.K)
-        schedule = balance.init_schedule(
-            balance.class_priors(np.bincount(y)), balance.compensation(rng.uniform(0.5, 2.0, self.K)), 0.8, 0.8, 0.99
-        )
+        loss_fn, _ = _phase_loss(variant, model, LabeledSet(x, y, self.K), TrainConfig())
         teacher_logits = rng.standard_normal((23, self.OLD))
-        return model, x, y, _variant_loss_fn(variant, self.K, y, schedule), teacher_logits
+        return model, x, y, loss_fn, teacher_logits
 
     @pytest.mark.parametrize("distill", [False, True], ids=["plain", "distill"])
     @pytest.mark.parametrize("variant", LOSS_VARIANTS)
@@ -262,14 +260,14 @@ class TestTrainPhase:
         data = _one_class_set()
         config = small_config(distill_weight=0.0)
         model = Classifier(3, config.hidden, 1, rng_for(0, INIT, 0))
-        model, _ = train_phase(model, data, config, 0)
+        train_phase(model, data, config, 0)
         assert model.accuracy(data.features, data.labels) == 100.0
 
     def test_phase_zero_epoch_means_decrease(self):
         data = make_gaussian_mixture(4, 40, 6, 3.0, seed=1)
         config = small_config(epochs=6)
         model = Classifier(6, config.hidden, 4, rng_for(0, INIT, 0))
-        _, trace = train_phase(model, data, config, 0)
+        trace = train_phase(model, data, config, 0)
         losses = trace.column("loss_new")
         epochs = trace.column("epoch")
         means = [losses[epochs == e].mean() for e in range(6)]
@@ -317,7 +315,7 @@ class TestTrainPhase:
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
         config = small_config(epochs=2)
         model = Classifier(4, config.hidden, 2, rng_for(0, INIT, 0))
-        model, _ = train_phase(model, stream.phases[0], config, 0)
+        train_phase(model, stream.phases[0], config, 0)
         teacher = model.copy()
         snapshot = [p.copy() for p in teacher.params()]
         model.expand_head(2, rng_for(0, INIT, 1))
@@ -332,7 +330,7 @@ class TestTrainPhase:
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
         config = small_config(epochs=3, batch_size=13)
         model = Classifier(4, config.hidden, 2, rng_for(0, INIT, 0))
-        model, _ = train_phase(model, stream.phases[0], config, 0)
+        train_phase(model, stream.phases[0], config, 0)
         teacher = model.copy()
         model.expand_head(2, rng_for(0, INIT, 1))
         calls = {"teacher": [], "model": []}
@@ -347,14 +345,14 @@ class TestTrainPhase:
 
     def test_teacher_scores_each_row_once_per_phase(self):
         data, config, model, teacher, calls = self._distilling_phase()
-        _, trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
         assert len(calls["teacher"]) == math.ceil(data.n / config.batch_size)
         assert len(trace.rows) == config.epochs * len(calls["teacher"])
         np.testing.assert_array_equal(np.concatenate([x for x, _ in calls["teacher"]]), data.features)
 
     def test_cached_teacher_logits_give_the_per_batch_distillation_loss(self):
         data, config, model, teacher, calls = self._distilling_phase()
-        _, trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
         del teacher.forward  # back to the class's pass, unrecorded
         rng = rng_for(config.seed, BATCH, 1)
         batches = [
@@ -378,6 +376,35 @@ class TestTrainPhase:
                 assert abs(row.loss_old - want) <= 1e-12 * abs(want)
 
 
+    @staticmethod
+    def _phase_one_of_a_run(**overrides):
+        # a run's phase-1 inputs rebuilt from its shared first phase, and the run
+        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
+        config = small_config(epochs=2, **overrides)
+        start = first_phase(stream, config)
+        run = run_experiment(stream, config, start)
+        model = start.model.copy().expand_head(2, rng_for(config.seed, INIT, 1))
+        return stream, config, start, model, run.traces[1]
+
+    def test_bdr_phase_builds_its_balance_state_as_the_run_does(self):
+        stream, config, start, model, run_trace = self._phase_one_of_a_run(loss_variant="bdr")
+        teacher = start.model.copy()
+        data = merged_training_set(start.memory, stream.phases[1])
+        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        assert len(trace.balance_rows) == 4 * len(trace.rows) > 0
+        assert trace.balance_rows == run_trace.balance_rows
+        assert trace.rows == run_trace.rows
+
+    def test_without_distillation_loss_old_is_the_ce_on_the_replayed_exemplars(self):
+        _, _, start, model, run_trace = self._phase_one_of_a_run(distill_weight=0.0)
+        replay = start.memory.as_labeled_set(2)
+        want, _ = ce_with_offset(model.forward(replay.features).logits, np.zeros(4), replay.labels)
+        first = run_trace.rows[0]
+        assert (first.phase, first.step) == (1, 0)
+        assert first.loss_old == want
+        assert len({row.loss_old for row in run_trace.rows}) > 1  # scored again at every step
+
+
 class TestRunExperiment:
     def test_single_phase_avg_equals_last(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=4), 4, 1, seed=4)
@@ -398,7 +425,7 @@ class TestRunExperiment:
         config = small_config()
         looped = run_experiment(stream, config)
         direct = Classifier(4, config.hidden, 4, rng_for(config.seed, INIT, 0))
-        direct, direct_trace = train_phase(direct, stream.phases[0], config, 0)
+        direct_trace = train_phase(direct, stream.phases[0], config, 0)
         looped_losses = looped.traces[0].column("loss_new")
         np.testing.assert_array_equal(looped_losses, direct_trace.column("loss_new"))
         acc = direct.accuracy(
