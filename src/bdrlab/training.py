@@ -12,14 +12,17 @@ holds per-phase summaries of it.
 The classifier runs its own numpy forward and backward pass over plain
 float64 arrays. Every loss head is closed-form: it returns the loss and its
 gradient at the logits, which goes straight into ``Classifier.backward``.
-A step is one forward pass plus one backward pass per loss term; the
-frozen teacher's logits are computed once per phase, in ``batch_size``
-chunks of the training set, and each step reads its rows. The
-new/old split comes from the classification loss's single backward pass:
-a weight's gradient is a sum of per-row outer products of layer input and
-row delta, so summing over the smaller of the new-class and old-class row
-groups gives its contribution directly (Goodfellow 2015,
-arXiv:1510.01799), and the other group's is the batch gradient minus it.
+A step is one forward pass plus one backward pass: backward is linear, so
+the consolidation term's logit gradient is added to the classification
+one and the sum goes through ``Classifier.backward`` once. The frozen
+teacher's logits are computed once per phase, in ``batch_size`` chunks of
+the training set, and each step reads its rows. The step record describes
+the update gradient, classification plus weighted consolidation, and its
+new/old split comes from that same backward pass: a weight's gradient is a
+sum of per-row outer products of layer input and row delta, so summing
+over the smaller of the new-class and old-class row groups gives its
+contribution directly (Goodfellow 2015, arXiv:1510.01799), and the other
+group's is the batch gradient minus it.
 
 A phase is set up in ``train_phase``, which decides before the first step
 what the phase trains with: the loss, bdr's offset schedule and where
@@ -330,8 +333,8 @@ def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
 
 
 def _contribution_sums(flat, acts, deltas, new_rows):
-    """Summed per-sample gradients of the classification loss, split into the
-    batch's new-class rows and old-class rows.
+    """Summed per-sample gradients of the step's loss, split into the batch's
+    new-class rows and old-class rows.
 
     ``flat`` is the loss's batch gradient flattened in ``params()`` order,
     and ``deltas`` the row deltas of the same backward pass
@@ -414,8 +417,6 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
             acts = model.forward(feats[idx])
             if track is not None:
                 trace.balance_rows += track(step, acts, y)
-            # one backward per loss term, summed per parameter afterwards: a
-            # single backward over the summed dlogits would round differently
             try:
                 loss_new, dlogits = loss_fn(acts.logits, y)
                 loss_old, old_dlogits = (0.0, None) if old_loss is None else old_loss(acts.logits, idx)
@@ -426,13 +427,11 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
             if not np.isfinite(loss_new) or not np.isfinite(loss_old):
                 raise DivergenceError(f"non-finite loss at phase {phase_index}, step {step}")
 
+            if old_dlogits is not None:  # backward is linear: one pass for the summed loss
+                dlogits = dlogits + old_dlogits
             grads, deltas = model.backward(acts, dlogits)
             flat = _flatten(grads)
-            grad_total_sq = float(np.sum(flat**2))
             grad_new, grad_old = _contribution_sums(flat, acts, deltas, y >= old_classes)
-            if old_dlogits is not None:
-                for g, h in zip(grads, model.backward(acts, old_dlogits)[0]):
-                    g += h
             optimizer.step(grads)
 
             trace.rows.append(
@@ -444,7 +443,7 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
                     loss_old=loss_old,
                     grad_new_norm=float(np.linalg.norm(grad_new)),
                     grad_old_norm=float(np.linalg.norm(grad_old)),
-                    grad_total_sq=grad_total_sq,
+                    grad_total_sq=float(np.dot(flat, flat)),
                     contrib_inner=float(np.dot(grad_new, grad_old)),
                     batch_size=int(idx.size),
                 )

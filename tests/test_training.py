@@ -184,24 +184,17 @@ class TestKernelAgainstTape:
 
         acts = model.forward(x)
         _, dlogits = loss_fn(acts.logits, y)
-        terms = [dlogits]
-        if distill:
-            terms.append(distill_loss(acts.logits, teacher_logits, self.OLD, 2.0, 0.7)[1])
+        if distill:  # the loss terms' logit gradients summed, as in train_phase
+            dlogits = dlogits + distill_loss(acts.logits, teacher_logits, self.OLD, 2.0, 0.7)[1]
 
-        # the reference: one tape backward per loss term, each parameter's
-        # gradient accumulated across them
+        # the reference: one tape backward with the summed adjoint at the logits
         params = [Tensor(p, requires_grad=True) for p in model.params()]
         tape_logits = _tape_logits(params, x)
         assert np.array_equal(acts.logits, tape_logits.data)
-        for term in terms:
-            (tape_logits * term).sum().backward()
+        (tape_logits * dlogits).sum().backward()
         expected = [p.grad for p in params]
 
-        # one backward per loss term, summed per parameter afterwards, as in train_phase
-        grads, _ = model.backward(acts, terms[0])
-        for term in terms[1:]:
-            grads = [g + h for g, h in zip(grads, model.backward(acts, term)[0])]
-
+        grads, _ = model.backward(acts, dlogits)
         assert [g.shape for g in grads] == [p.shape for p in model.params()]
         for got, want in zip(grads, expected):
             assert np.array_equal(got, want)
@@ -349,6 +342,52 @@ class TestTrainPhase:
         assert len(calls["teacher"]) == math.ceil(data.n / config.batch_size)
         assert len(trace.rows) == config.epochs * len(calls["teacher"])
         np.testing.assert_array_equal(np.concatenate([x for x, _ in calls["teacher"]]), data.features)
+
+    def test_a_distilling_step_makes_one_backward_pass(self, monkeypatch):
+        data, config, model, teacher, _ = self._distilling_phase()
+        calls = []
+
+        def counted(net, acts, dlogits, backward=Classifier.backward):
+            calls.append(net)
+            return backward(net, acts, dlogits)
+
+        monkeypatch.setattr(Classifier, "backward", counted)
+        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        assert len(trace.rows) > 0
+        assert len(calls) == len(trace.rows)
+
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_record_describes_the_update_gradient(self, variant):
+        # a one-step distilling phase from zero velocity: the step moves the
+        # parameters by lr times the recorded gradient. The student does not
+        # start from its teacher, so the consolidation gradient is not zero.
+        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
+        start = first_phase(stream, small_config(loss_variant=variant))
+        data = merged_training_set(start.memory, stream.phases[1])
+        config = replace(start.config, loss_variant=variant, epochs=1, batch_size=data.n)
+        model = Classifier(4, config.hidden, 4, rng_for(5, INIT, 0))
+        initial = model.copy()
+        trace = train_phase(model, data, config, 1, teacher=start.model, old_classes=2)
+        (row,) = trace.rows
+        update = (_flatten(initial.params()) - _flatten(model.params())) / config.lr
+        assert row.grad_total_sq == pytest.approx(float(update @ update), rel=1e-10)
+
+        # the split rebuilt from the same batch: the full gradient's row groups
+        idx = rng_for(config.seed, BATCH, 1).permutation(data.n)
+        x, y = data.features[idx], data.labels[idx]
+        loss_fn, track = _phase_loss(variant, initial, data, config)
+        acts = initial.forward(x)
+        if track is not None:
+            track(0, acts, y)
+        teacher_logits = start.model.forward(data.features).logits[idx]
+        _, old_dlogits = distill_loss(acts.logits, teacher_logits, 2, config.distill_temperature, config.distill_weight)
+        grads, deltas = initial.backward(acts, loss_fn(acts.logits, y)[1] + old_dlogits)
+        grad_new, grad_old = _contribution_sums(_flatten(grads), acts, deltas, y >= 2)
+        want = data.n * update
+        assert np.linalg.norm(grad_new + grad_old - want) <= 1e-12 * np.linalg.norm(want)
+        assert row.grad_new_norm == pytest.approx(float(np.linalg.norm(grad_new)), rel=1e-10)
+        assert row.grad_old_norm == pytest.approx(float(np.linalg.norm(grad_old)), rel=1e-10)
+        assert row.contrib_inner == pytest.approx(float(grad_new @ grad_old), rel=1e-10)
 
     def test_cached_teacher_logits_give_the_per_batch_distillation_loss(self):
         data, config, model, teacher, calls = self._distilling_phase()
