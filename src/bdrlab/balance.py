@@ -128,8 +128,10 @@ def compensation(variances):
     v = np.asarray(variances, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"variances must be a non-empty vector, got shape {v.shape}")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ValueError(f"variances must be finite and non-negative, got {v.tolist()}")
+    if not np.all(np.isfinite(v)):
+        raise FloatingPointError(f"variances must be finite, got {v.tolist()}")
+    if np.any(v < 0):
+        raise ValueError(f"variances must be non-negative, got {v.tolist()}")
     if not np.any(v > 0):
         raise DegenerateTrainingError(
             "all-zero variances: training status is degenerate (constant features, as from dead ReLU units)"
@@ -181,27 +183,17 @@ class OffsetSchedule:
     tau: float
 
 
-def _check_unit(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
-
-
-def init_schedule(priors, weights_at_init, m, m_prime, beta, tau=1.0):
+def init_schedule(priors, weights_at_init, m, m_prime, beta, tau):
     """Freeze the phase-start blend of priors and status weights.
 
     ``m`` only acts here; ``m_prime`` takes over during training and ``beta``
-    controls how much the frozen blend keeps dominating.
+    controls how much the frozen blend keeps dominating. The four settings
+    are taken as given: ``TrainConfig`` checks them once, when it is built.
     """
     psi = np.asarray(priors, dtype=np.float64)
     omega = np.asarray(weights_at_init, dtype=np.float64)
     if psi.shape != omega.shape or psi.ndim != 1:
         raise ValueError(f"priors shape {psi.shape} does not match weights shape {omega.shape}")
-    m = _check_unit("m", m)
-    m_prime = _check_unit("m_prime", m_prime)
-    beta = _check_unit("beta", beta)
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
     pi = m * psi + (1.0 - m) * omega
     return OffsetSchedule(
         priors=psi.copy(),
@@ -211,7 +203,7 @@ def init_schedule(priors, weights_at_init, m, m_prime, beta, tau=1.0):
         m=m,
         m_prime=m_prime,
         beta=beta,
-        tau=float(tau),
+        tau=tau,
     )
 
 
@@ -262,10 +254,10 @@ def bdr_loss(logits, labels, schedule: OffsetSchedule):
     return ce_with_offset(logits, offsets(schedule), labels)
 
 
-def bal_ce_loss(logits, labels, priors, tau=1.0):
-    """Constant-rebalancing baseline: cross-entropy shifted by tau * log
-    priors; returns ``(loss, dlogits)``."""
+def bal_ce_loss(logits, labels, priors):
+    """Constant-rebalancing baseline: cross-entropy shifted by log priors;
+    returns ``(loss, dlogits)``."""
     p = np.asarray(priors, dtype=np.float64)
     if np.any(p <= 0.0):
         raise ValueError("priors must be strictly positive")
-    return ce_with_offset(logits, tau * np.log(p), labels)
+    return ce_with_offset(logits, np.log(p), labels)

@@ -112,10 +112,6 @@ class PhaseStream:
 
 def make_gaussian_mixture(classes, per_class, dim, separation, seed=0):
     """Isotropic unit-noise blobs whose means sit on a sphere of the given radius."""
-    if classes < 2 or per_class < 1 or dim < 2:
-        raise ValueError(f"need classes >= 2, per_class >= 1, dim >= 2, got ({classes}, {per_class}, {dim})")
-    if separation <= 0:
-        raise ValueError(f"separation must be positive, got {separation}")
     rng = rng_for(seed, DATA, 0)
     directions = rng.standard_normal((classes, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -129,10 +125,6 @@ def make_gaussian_mixture(classes, per_class, dim, separation, seed=0):
 
 def make_rings(classes, per_class, noise, seed=0):
     """Concentric 2-D annuli at radii 1..K with gaussian radial jitter."""
-    if classes < 2 or per_class < 1:
-        raise ValueError(f"need classes >= 2 and per_class >= 1, got ({classes}, {per_class})")
-    if noise < 0:
-        raise ValueError(f"noise must be non-negative, got {noise}")
     rng = rng_for(seed, DATA, 1)
     parts = []
     for k in range(classes):

@@ -1,15 +1,17 @@
 """Bounded per-class exemplar storage replayed into later phases.
 
-Samples are stored verbatim, in selection order, so trimming under a global
-budget always keeps the most representative prefix. Selection features come
-from the model as trained at insertion time and are never recomputed.
+Each class stores its samples verbatim with their source indices, both in
+selection order, so trimming under a global budget keeps the most
+representative prefix of each. Selection features come from the model as
+trained at insertion time and are never recomputed. The settings are taken
+as given: ``TrainConfig`` checks them once, when it is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import LabeledSet
+from .data import LabeledSet, concat_sets
 from .seeding import SELECT, rng_for
 
 PER_CLASS = "per_class"
@@ -50,32 +52,15 @@ def herding_select(features, quota):
     return np.asarray(chosen, dtype=np.int64)
 
 
-class _ClassStore:
-    __slots__ = ("rows", "source_indices")
-
-    def __init__(self, rows, source_indices):
-        self.rows = rows
-        self.source_indices = source_indices
-
-    def trimmed(self, quota):
-        return _ClassStore(self.rows[:quota], self.source_indices[:quota])
-
-
 class ExemplarMemory:
     """Exemplar store with a per-class cap or a shared global budget."""
 
-    def __init__(self, mode=PER_CLASS, budget=5, selection=HERDING, seed=0):
-        if mode not in (PER_CLASS, GLOBAL):
-            raise MemoryConfigError(f"unknown budget mode {mode!r}")
-        if selection not in (RANDOM, HERDING):
-            raise MemoryConfigError(f"unknown selection rule {selection!r}")
-        if budget < 1:
-            raise MemoryConfigError(f"budget must be at least 1, got {budget}")
+    def __init__(self, mode, budget, selection, seed):
         self.mode = mode
-        self.budget = int(budget)
+        self.budget = budget
         self.selection = selection
-        self.seed = int(seed)
-        self._store = {}
+        self.seed = seed
+        self._store = {}  # class -> (rows, source indices), both in selection order
         self._updates = 0
 
     def classes(self):
@@ -83,18 +68,17 @@ class ExemplarMemory:
 
     @property
     def size(self):
-        return sum(store.rows.shape[0] for store in self._store.values())
+        return sum(rows.shape[0] for rows, _ in self._store.values())
 
     def stored_count(self, label):
-        store = self._store.get(label)
-        return 0 if store is None else store.rows.shape[0]
+        return self._store[label][0].shape[0] if label in self._store else 0
 
     def rows_for(self, label):
-        return self._store[label].rows
+        return self._store[label][0]
 
     def index_map(self):
         """class -> source-sample indices, for the run report."""
-        return {int(k): [int(i) for i in s.source_indices] for k, s in sorted(self._store.items())}
+        return {int(k): [int(i) for i in idx] for k, (_, idx) in sorted(self._store.items())}
 
     def update(self, phase_data: LabeledSet, features_of):
         """Insert this phase's classes and re-trim everything to quota.
@@ -124,10 +108,10 @@ class ExemplarMemory:
             else:
                 rng = rng_for(self.seed, SELECT, self._updates, label)
                 order = rng.permutation(idx.size)[:take]
-            self._store[label] = _ClassStore(rows[order].copy(), idx[order].copy())
+            self._store[label] = (rows[order].copy(), idx[order].copy())
         if self.mode == GLOBAL:
-            for label in list(self._store):
-                self._store[label] = self._store[label].trimmed(quota)
+            for label, (rows, idx) in self._store.items():
+                self._store[label] = (rows[:quota], idx[:quota])
         self._updates += 1
         return self
 
@@ -135,24 +119,13 @@ class ExemplarMemory:
         """Stored exemplars as one LabeledSet, or None when empty."""
         if not self._store:
             return None
-        rows = []
-        labels = []
-        for label in self.classes():
-            store = self._store[label]
-            rows.append(store.rows)
-            labels.append(np.full(store.rows.shape[0], label, dtype=np.int64))
-        return LabeledSet(np.concatenate(rows), np.concatenate(labels), class_count)
+        classes = self.classes()
+        rows = [self._store[label][0] for label in classes]
+        labels = np.repeat(np.asarray(classes, dtype=np.int64), [r.shape[0] for r in rows])
+        return LabeledSet(np.concatenate(rows), labels, class_count)
 
 
 def merged_training_set(memory: ExemplarMemory, phase_data: LabeledSet) -> LabeledSet:
-    """The phase's samples plus every stored exemplar; counts per class stay
-    recoverable through ``class_counts``."""
+    """The stored exemplars, in class order, then the phase's samples."""
     replay = memory.as_labeled_set(phase_data.class_count)
-    if replay is None:
-        return phase_data
-    if replay.dim != phase_data.dim:
-        raise ValueError(f"feature dimension mismatch: memory {replay.dim} vs phase {phase_data.dim}")
-    feats = np.concatenate([replay.features, phase_data.features])
-    labels = np.concatenate([replay.labels, phase_data.labels])
-    count = max(phase_data.class_count, int(labels.max()) + 1)
-    return LabeledSet(feats, labels, count)
+    return phase_data if replay is None else concat_sets([replay, phase_data])

@@ -207,7 +207,8 @@ class Classifier:
         return grads[::-1], deltas[::-1]
 
     def predict(self, x):
-        return np.argmax(self.forward(x).logits, axis=1)
+        """Top-1 classes; a non-finite logit raises ``FloatingPointError``."""
+        return np.argmax(checked_logits(self.forward(x).logits), axis=1)
 
     def accuracy(self, x, labels):
         """Top-1 accuracy in percent on raw logits (no training-time offsets)."""
@@ -253,8 +254,6 @@ def distill_loss(logits, teacher_logits, old_classes, temperature, weight):
     at the full logits, weight * T * (softmax(z/T) - softmax(t/T)) over the
     batch size on the old columns and zero on the new ones.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     z = np.asarray(logits, dtype=np.float64)
     student = z[:, :old_classes]
     t = np.asarray(teacher_logits, dtype=np.float64)
@@ -319,8 +318,7 @@ def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
     if variant == LOSS_REWEIGHT:
         class_weights = (1.0 / priors) / k
         return (lambda logits, y: weighted_ce(logits, y, class_weights[y])), None
-    if variant != LOSS_BDR:
-        raise ValueError(f"unknown loss variant {variant!r}")
+    # the config has checked the variant, so what is left is bdr
     source = "features" if config.variance_source == "feature" else "logits"
     stats = balance.stats_from_pass(getattr(model.forward(data.features), source), data.labels, k)
     schedule = balance.init_schedule(priors, stats.weights(), config.m, config.m_prime, config.beta, config.tau)
@@ -415,9 +413,9 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
             idx = perm[start : start + config.batch_size]
             y = labels[idx]
             acts = model.forward(feats[idx])
-            if track is not None:
-                trace.balance_rows += track(step, acts, y)
             try:
+                if track is not None:
+                    trace.balance_rows += track(step, acts, y)
                 loss_new, dlogits = loss_fn(acts.logits, y)
                 loss_old, old_dlogits = (0.0, None) if old_loss is None else old_loss(acts.logits, idx)
             except FloatingPointError as exc:
@@ -533,10 +531,18 @@ def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
     classes, and from phase 1 on the destruction and the bound reports;
     ``sigma_max`` is the phase's old-phase curvature, taken when the previous
     phase closed. Returns the entry and the next phase's curvature, taken at
-    the model as phase t leaves it (None after the last phase)."""
-    memory.update(stream.phases[t], features_of=lambda x: model.forward(x).features)
+    the model as phase t leaves it (None after the last phase). Evaluation
+    runs first and, like the curvature pass, rejects a non-finite logit, so
+    a model left non-finite ends in a ``DivergenceError``, not an entry."""
     test = concat_sets(stream.test_phases[: t + 1])
-    correct = model.predict(test.features) == test.labels
+    next_sigma_max = None
+    try:
+        correct = model.predict(test.features) == test.labels
+        if t + 1 < stream.num_phases:
+            next_sigma_max = _old_phase_curvature(model, stream.phases[: t + 1], seed=config.seed)
+    except FloatingPointError as exc:
+        raise DivergenceError(f"non-finite model at the end of phase {t}: {exc}") from exc
+    memory.update(stream.phases[t], features_of=lambda x: model.forward(x).features)
     old = test.labels < stream.classes_before(t)
     entry = {
         "phase": t,
@@ -561,9 +567,6 @@ def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
             config.lr,
             sigma_max,
         )
-    next_sigma_max = None
-    if t + 1 < stream.num_phases:
-        next_sigma_max = _old_phase_curvature(model, stream.phases[: t + 1], seed=config.seed)
     return entry, next_sigma_max
 
 

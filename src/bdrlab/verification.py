@@ -95,7 +95,7 @@ def check_gradient_oracle(instances=100, seed=0, tol=1e-5):
         checks = [
             (rng.standard_normal((b, k)), lambda x: ce_with_offset(x, offs, labels)),
             (rng.standard_normal((b, k)), lambda x: weighted_ce(x, labels, weights)),
-            (rng.standard_normal((b, k)), lambda x: balance.bal_ce_loss(x, labels, priors, 1.5)),
+            (rng.standard_normal((b, k)), lambda x: balance.bal_ce_loss(x, labels, priors)),
             (rng.standard_normal((b, k)), lambda x: balance.bdr_loss(x, labels, schedule)),
             (rng.standard_normal((b, k)), distill),
             # jittered so no bias is zero: a zero bias behind dead units sits on a kink

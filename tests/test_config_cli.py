@@ -197,6 +197,25 @@ class TestCmdRun:
         on_disk = {path.name for path in out.glob("*.json")}
         assert on_disk >= summarised and on_disk - summarised == named
 
+    @pytest.mark.parametrize("initial_classes", ["4", "8"], ids=["three_phases", "one_phase"])
+    def test_divergence_on_a_phase_last_update_is_one_line_and_exit_one(self, tmp_path, capsys, initial_classes):
+        # one step at lr = 1e300 leaves phase 0's model non-finite; closing the
+        # phase must end the run as a divergence, not a traceback or a
+        # chance-level accuracy taken from NaN logits
+        text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 1e300").replace("epochs = 12", "epochs = 1")
+        text = text.replace("batch_size = 32", "batch_size = 1000").replace("seeds = 0, 1, 2, 3, 4", "seeds = 0")
+        config_path = tmp_path / "runaway.cfg"
+        config_path.write_text(text.replace("initial_classes = 4", f"initial_classes = {initial_classes}"))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", str(config_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged: ")
+        assert err[0].endswith(" (variant ce, seed 0)")
+        assert not list(out.glob("*.json"))
+
     def test_run_never_imports_scipy_optimize(self, tmp_path):
         # only the balanced-risk oracle behind `verify` needs scipy.optimize
         config_path = tmp_path / "exp.cfg"
@@ -316,6 +335,7 @@ class TestConfigErrorsAtParseTime:
             ({"hidden = 12, 12": "hidden = 12, 12\ndistill_temperature = 0"}, "'distill_temperature' in [train]"),
             ({"hidden = 12, 12": "hidden = 0"}, "'hidden' in [train]"),
             ({"hidden = 12, 12": "hidden = 8, 0"}, "'hidden' in [train]"),
+            ({"classes = 4": "classes = 1"}, "'classes' in [dataset]"),
             ({"per_class = 36": "per_class = 0"}, "'per_class' in [dataset]"),
             ({"per_class = 36": "per_class = 1"}, "'per_class' in [dataset]"),
             ({"dim = 4": "dim = 1"}, "'dim' in [dataset]"),
@@ -336,6 +356,7 @@ class TestConfigErrorsAtParseTime:
             "zero_temperature",
             "zero_hidden",
             "zero_second_hidden",
+            "one_class",
             "zero_per_class",
             "one_per_class",
             "one_dim",

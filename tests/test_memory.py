@@ -90,19 +90,19 @@ class TestHerdingSelect:
 
 class TestExemplarMemory:
     def test_per_class_quota(self):
-        memory = ExemplarMemory(budget=2)
+        memory = ExemplarMemory(mode="per_class", budget=2, selection="herding", seed=0)
         data = _set_of(np.arange(10)[:, None], np.zeros(10), 1)
         memory.update(data, IDENTITY)
         assert memory.stored_count(0) == 2
 
     def test_global_budget_split(self):
-        memory = ExemplarMemory(mode="global", budget=6)
+        memory = ExemplarMemory(mode="global", budget=6, selection="herding", seed=0)
         data = _set_of(np.arange(12)[:, None], np.repeat([0, 1, 2], 4), 3)
         memory.update(data, IDENTITY)
         assert [memory.stored_count(c) for c in (0, 1, 2)] == [2, 2, 2]
 
     def test_global_trim_keeps_selection_prefix(self):
-        memory = ExemplarMemory(mode="global", budget=4)
+        memory = ExemplarMemory(mode="global", budget=4, selection="herding", seed=0)
         first = _set_of(np.arange(6)[:, None], np.repeat([0, 1], 3), 2)
         memory.update(first, IDENTITY)
         before = {c: memory.rows_for(c).copy() for c in memory.classes()}
@@ -113,7 +113,7 @@ class TestExemplarMemory:
             np.testing.assert_array_equal(memory.rows_for(c), before[c][:1])
 
     def test_quota_zero_after_trim_rejected(self):
-        memory = ExemplarMemory(mode="global", budget=2)
+        memory = ExemplarMemory(mode="global", budget=2, selection="herding", seed=0)
         first = _set_of(np.arange(4)[:, None], np.repeat([0, 1], 2), 2)
         memory.update(first, IDENTITY)
         second = _set_of(np.arange(4)[:, None], np.repeat([2, 3], 2), 4)
@@ -121,7 +121,7 @@ class TestExemplarMemory:
             memory.update(second, IDENTITY)
 
     def test_herding_quota_one_stores_nearest_to_mean(self):
-        memory = ExemplarMemory(budget=1, selection="herding")
+        memory = ExemplarMemory(mode="per_class", budget=1, selection="herding", seed=0)
         data = _set_of([[0.0], [10.0], [5.0]], [0, 0, 0], 1)
         memory.update(data, IDENTITY)
         np.testing.assert_array_equal(memory.rows_for(0), [[5.0]])
@@ -129,7 +129,7 @@ class TestExemplarMemory:
     def test_random_selection_seed_deterministic(self):
         picks = []
         for _ in range(2):
-            memory = ExemplarMemory(budget=3, selection="random", seed=11)
+            memory = ExemplarMemory(mode="per_class", budget=3, selection="random", seed=11)
             data = _set_of(np.arange(20)[:, None], np.zeros(20), 1)
             memory.update(data, IDENTITY)
             picks.append(memory.rows_for(0).ravel().tolist())
@@ -155,14 +155,14 @@ class TestExemplarMemory:
     def test_stored_rows_are_verbatim_samples(self):
         rng = np.random.default_rng(4)
         data = _set_of(rng.standard_normal((10, 3)), np.zeros(10), 1)
-        memory = ExemplarMemory(budget=4)
+        memory = ExemplarMemory(mode="per_class", budget=4, selection="herding", seed=0)
         memory.update(data, IDENTITY)
         for row in memory.rows_for(0):
             assert any(np.array_equal(row, sample) for sample in data.features)
 
     def test_index_map_points_at_sources(self):
         data = _set_of(np.arange(8)[:, None], np.repeat([0, 1], 4), 2)
-        memory = ExemplarMemory(budget=2)
+        memory = ExemplarMemory(mode="per_class", budget=2, selection="herding", seed=0)
         memory.update(data, IDENTITY)
         for cls, indices in memory.index_map().items():
             for stored, src in zip(memory.rows_for(cls), indices):
@@ -172,11 +172,11 @@ class TestExemplarMemory:
 class TestMergedTrainingSet:
     def test_empty_memory_passthrough(self):
         data = _set_of(np.arange(4)[:, None], [0, 0, 1, 1], 2)
-        merged = merged_training_set(ExemplarMemory(budget=2), data)
+        merged = merged_training_set(ExemplarMemory(mode="per_class", budget=2, selection="herding", seed=0), data)
         assert merged is data
 
     def test_counts_after_merge(self):
-        memory = ExemplarMemory(budget=2)
+        memory = ExemplarMemory(mode="per_class", budget=2, selection="herding", seed=0)
         old = _set_of(np.arange(8)[:, None], np.repeat([0, 1], 4), 2)
         memory.update(old, IDENTITY)
         new = _set_of(100 + np.arange(100)[:, None], np.full(100, 2), 3)
@@ -186,7 +186,7 @@ class TestMergedTrainingSet:
         assert counts[0] == 2 and counts[1] == 2 and counts[2] == 100
 
     def test_dimension_mismatch(self):
-        memory = ExemplarMemory(budget=2)
+        memory = ExemplarMemory(mode="per_class", budget=2, selection="herding", seed=0)
         memory.update(_set_of(np.arange(4)[:, None], [0] * 4, 1), IDENTITY)
         wide = _set_of(np.zeros((3, 2)), [1, 1, 1], 2)
         with pytest.raises(ValueError, match="dimension"):

@@ -288,6 +288,16 @@ class TestTrainPhase:
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="step 0"):
             train_phase(model, data, config, 0)
 
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_runaway_learning_rate_diverges_in_every_variant(self, variant):
+        # bdr's balance update meets the blown-up features first: its
+        # non-finite variance must end as the same typed divergence
+        data = make_gaussian_mixture(2, 20, 6, 3.0, seed=4)
+        config = TrainConfig(epochs=6, batch_size=8, hidden=(16,), lr=1e8, loss_variant=variant)
+        model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="phase 1, step"):
+            train_phase(model, data, config, 1, old_classes=1)
+
     def test_trace_identity_links_contributions_to_total(self):
         # recorded ||grad||^2 equals the recomputation from the stored
         # new/old contribution sums
@@ -683,8 +693,22 @@ class TestTrainConfigValidation:
             {"tau": -1.0},
             {"distill_temperature": 0.0},
             {"hidden": (8, 0)},
+            {"m_prime": 1.2},
+            {"beta": -0.1},
+            {"memory_selection": "greedy"},
+            {"variance_source": "weights"},
         ],
-        ids=["memory_budget", "memory_mode", "tau", "distill_temperature", "hidden"],
+        ids=[
+            "memory_budget",
+            "memory_mode",
+            "tau",
+            "distill_temperature",
+            "hidden",
+            "m_prime",
+            "beta",
+            "memory_selection",
+            "variance_source",
+        ],
     )
     def test_bad_setting_names_its_field(self, change):
         with pytest.raises(ValueError, match=next(iter(change))):
