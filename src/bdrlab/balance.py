@@ -31,8 +31,9 @@ VARIANCE_FLOOR = 1e-8
 
 
 class DegenerateTrainingError(ValueError):
-    """Every class's intra-class variance is zero, so the training status
-    carries no signal: the features are constant, as on a dead ReLU network."""
+    """The network stopped carrying signal: every unit of its last hidden
+    layer is dead, or every class's intra-class variance is zero, so the
+    training status is undefined."""
 
 
 def log_softmax(z):
@@ -115,8 +116,6 @@ def class_priors(counts):
 def scalar_variance(features, mean):
     """Mean squared deviation from ``mean``, averaged over samples and dimensions."""
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
     m = np.asarray(mean, dtype=np.float64).ravel()
     if f.shape[0] == 0 or f.shape[1] != m.size:
         raise ValueError(f"features shape {f.shape} does not match mean of size {m.size}")
@@ -148,9 +147,6 @@ class ClassStats:
     variance: np.ndarray  # K scalar intra-class variances
     count: np.ndarray  # K per-class totals in the merged set (fixed per phase)
 
-    def weights(self):
-        return compensation(self.variance)
-
 
 def stats_from_pass(features, labels, class_count):
     """Phase-start snapshot: exact means and variances from one full pass."""
@@ -177,7 +173,6 @@ class OffsetSchedule:
     pi_init: np.ndarray  # initial blend, frozen at phase start
     pi_prime: np.ndarray  # running blend, refreshed every step
     pi_hat: np.ndarray  # momentum combination used in the loss
-    m: float
     m_prime: float
     beta: float
     tau: float
@@ -200,7 +195,6 @@ def init_schedule(priors, weights_at_init, m, m_prime, beta, tau):
         pi_init=pi,
         pi_prime=pi.copy(),
         pi_hat=pi.copy(),
-        m=m,
         m_prime=m_prime,
         beta=beta,
         tau=tau,
@@ -216,8 +210,6 @@ def momentum_update(stats: ClassStats, schedule: OffsetSchedule, batch_features,
     fresh status weights.
     """
     f = np.asarray(batch_features, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
     y = np.asarray(batch_labels)
     if y.size and (y.min() < 0 or y.max() >= stats.count.size):
         bad = int(y[(y < 0) | (y >= stats.count.size)][0])

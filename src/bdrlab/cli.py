@@ -88,7 +88,7 @@ def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
     body["config"] = cfg.as_dict()
     body["traces"] = trace_files
     wall = time.perf_counter() - started
-    digest = write_report(os.path.join(out_dir, f"{stem}.json"), body, wall)
+    write_report(os.path.join(out_dir, f"{stem}.json"), body, wall)
     f_max_per_phase = [
         entry["destruction"]["f_max"]
         for entry in result.report["phases"]
@@ -100,7 +100,6 @@ def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
         "avg": result.report["avg"],
         "last": result.report["last"],
         "f_max": f_max_per_phase,
-        "body_sha256": digest,
     }
 
 

@@ -62,11 +62,6 @@ class LabeledSet:
     def indices_of_class(self, label):
         return np.flatnonzero(self.labels == label)
 
-    def class_counts(self):
-        """Map of class -> sample count for classes present in this set."""
-        present, counts = np.unique(self.labels, return_counts=True)
-        return {int(c): int(n) for c, n in zip(present, counts)}
-
 
 def concat_sets(sets):
     """Concatenate labeled sets; class_count becomes the largest of the parts."""
@@ -104,10 +99,6 @@ class PhaseStream:
 
     def classes_before(self, phase):
         return self.classes_through(phase - 1) if phase > 0 else 0
-
-    def class_range(self, phase):
-        """Global class indices introduced in the given phase."""
-        return range(self.classes_before(phase), self.classes_through(phase))
 
 
 def make_gaussian_mixture(classes, per_class, dim, separation, seed=0):

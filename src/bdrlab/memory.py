@@ -31,8 +31,6 @@ def herding_select(features, quota):
     ties resolve to the lowest index. Returns indices in selection order.
     """
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
     n = f.shape[0]
     if n == 0:
         raise ValueError("no samples to select from")
@@ -62,19 +60,6 @@ class ExemplarMemory:
         self.seed = seed
         self._store = {}  # class -> (rows, source indices), both in selection order
         self._updates = 0
-
-    def classes(self):
-        return sorted(self._store)
-
-    @property
-    def size(self):
-        return sum(rows.shape[0] for rows, _ in self._store.values())
-
-    def stored_count(self, label):
-        return self._store[label][0].shape[0] if label in self._store else 0
-
-    def rows_for(self, label):
-        return self._store[label][0]
 
     def index_map(self):
         """class -> source-sample indices, for the run report."""
@@ -119,7 +104,7 @@ class ExemplarMemory:
         """Stored exemplars as one LabeledSet, or None when empty."""
         if not self._store:
             return None
-        classes = self.classes()
+        classes = sorted(self._store)
         rows = [self._store[label][0] for label in classes]
         labels = np.repeat(np.asarray(classes, dtype=np.int64), [r.shape[0] for r in rows])
         return LabeledSet(np.concatenate(rows), labels, class_count)

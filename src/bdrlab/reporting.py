@@ -44,11 +44,9 @@ def body_hash(body) -> str:
 
 
 def write_report(path, body, wall_time_s):
-    """Write the run report; returns the body hash."""
-    digest = body_hash(body)
-    document = {"body": body, "body_sha256": digest, "wall_time_s": wall_time_s}
+    """Write the run report: its body, the body's hash and the wall time."""
+    document = {"body": body, "body_sha256": body_hash(body), "wall_time_s": wall_time_s}
     atomic_write_text(path, json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    return digest
 
 
 def read_report(path):

@@ -2,22 +2,21 @@
 
 The independent reference for the closed-form gradients the package trains
 with: the tests build the classifier on this tape and compare
-``Classifier.backward`` against it bit for bit, and the verify battery
-differentiates its quadratic toys here. It keeps only the primitives those
-uses need: ``matmul``, ``relu``, ``+``, ``*``, ``sum`` and ``mean``. The
-tape is the implicit operation graph each result carries; ``backward``
-replays it in topological order, so an operation's inputs always receive
-their adjoints after every use has contributed. Gradients accumulate into
-``grad`` across backward calls until the caller resets them, so repeated
-backward passes sum. ``finite_diff_check`` compares any gradient,
-closed-form or taped, against central differences.
+``Classifier.backward`` against it bit for bit. No run and no check of
+``bdrlab verify`` uses it. It keeps only the primitives the tests need:
+``matmul``, ``relu``, ``+``, ``*``, ``sum`` and ``mean``. The tape is the
+implicit operation graph each result carries; ``backward`` replays it in
+topological order, so an operation's inputs always receive their adjoints
+after every use has contributed. Gradients accumulate into ``grad`` across
+backward calls until the caller resets them, so repeated backward passes
+sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "matmul", "relu", "value_and_grad", "finite_diff_check"]
+__all__ = ["Tensor", "matmul", "relu", "value_and_grad"]
 
 
 def _as_tensor(value):
@@ -158,7 +157,8 @@ def relu(x):
 
 def value_and_grad(f):
     """``f``, a map from a leaf Tensor to a scalar Tensor on the tape, as a
-    map from an array to ``(value, gradient)`` for ``finite_diff_check``."""
+    map from an array to ``(value, gradient)`` for
+    ``verification.finite_diff_check``."""
 
     def wrapped(x):
         leaf = Tensor(x, requires_grad=True)
@@ -169,35 +169,3 @@ def value_and_grad(f):
         return float(out.data), leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
 
     return wrapped
-
-
-def finite_diff_check(f, x, step=1e-5):
-    """Worst relative disagreement between the gradient ``f`` reports at
-    ``x`` and central finite differences of its value.
-
-    ``f`` maps a float64 array to ``(value, gradient)``: a closed-form loss
-    head, or a tape function through ``value_and_grad``. Relative error per
-    coordinate is floored at 1e-8 in the denominator, so a constant function
-    scores exactly 0.
-    """
-    x = np.array(x, dtype=np.float64)
-    value, grad = f(x.copy())
-    if not np.isfinite(value):
-        raise FloatingPointError("f(x) is not finite")
-    analytic = np.array(grad, dtype=np.float64).ravel()
-    if analytic.size != x.size:
-        raise ValueError(f"gradient has {analytic.size} entries for {x.size} inputs")
-    flat = x.ravel()
-    numeric = np.zeros_like(analytic)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(x)[0]
-        flat[i] = orig - step
-        lo = f(x)[0]
-        flat[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * step)
-    if analytic.size == 0:
-        return 0.0
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((np.abs(analytic - numeric) / scale).max())

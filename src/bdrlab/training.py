@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import balance
-from .balance import ce_with_offset, checked_logits, log_softmax, weighted_ce
+from .balance import DegenerateTrainingError, ce_with_offset, checked_logits, log_softmax, weighted_ce
 from .data import LabeledSet, PhaseStream, concat_sets
 from .diagnostics import TopEigen, bound_report, destruction_report, hessian_top_eigen, metrics
 from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM, ExemplarMemory, merged_training_set
@@ -158,10 +158,6 @@ class Classifier:
     def n_classes(self):
         return self.head_w.shape[1]
 
-    @property
-    def feature_dim(self):
-        return self.head_w.shape[0]
-
     def params(self):
         out = []
         for w, b in self.layers:
@@ -210,10 +206,6 @@ class Classifier:
         """Top-1 classes; a non-finite logit raises ``FloatingPointError``."""
         return np.argmax(checked_logits(self.forward(x).logits), axis=1)
 
-    def accuracy(self, x, labels):
-        """Top-1 accuracy in percent on raw logits (no training-time offsets)."""
-        return 100.0 * float(np.mean(self.predict(x) == np.asarray(labels)))
-
     def copy(self):
         return copy.deepcopy(self)
 
@@ -221,7 +213,7 @@ class Classifier:
         """Append columns for new classes; existing rows stay bit-identical."""
         if extra_classes < 1:
             raise ValueError(f"head must grow by at least one class, got {extra_classes}")
-        new_w = rng.normal(0.0, HEAD_INIT_SCALE, (self.feature_dim, extra_classes))
+        new_w = rng.normal(0.0, HEAD_INIT_SCALE, (self.head_w.shape[0], extra_classes))
         self.head_w = np.concatenate([self.head_w, new_w], axis=1)
         self.head_b = np.concatenate([self.head_b, np.zeros(extra_classes)])
         return self
@@ -321,7 +313,9 @@ def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
     # the config has checked the variant, so what is left is bdr
     source = "features" if config.variance_source == "feature" else "logits"
     stats = balance.stats_from_pass(getattr(model.forward(data.features), source), data.labels, k)
-    schedule = balance.init_schedule(priors, stats.weights(), config.m, config.m_prime, config.beta, config.tau)
+    schedule = balance.init_schedule(
+        priors, balance.compensation(stats.variance), config.m, config.m_prime, config.beta, config.tau
+    )
 
     def track(step, acts, y):
         omega = balance.momentum_update(stats, schedule, getattr(acts, source), y)
@@ -377,6 +371,11 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
     plain cross-entropy, at each step, of the set's old-class rows: in a run
     these are the replayed exemplars, which ``merged_training_set`` puts
     first. That cross-entropy takes no part in the update.
+
+    The steps run with numpy's overflow and invalid-value warnings off: a
+    step whose loss or gradient record is non-finite ends, before its
+    update, as a ``DivergenceError``. An epoch in which no unit of the last
+    hidden layer fires on any batch ends as a ``DegenerateTrainingError``.
     """
     feats = data.features
     labels = data.labels
@@ -406,34 +405,34 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
     trace = StepTrace()
     decay_from = math.ceil(config.epochs * LR_DECAY_POINT)
     step = 0
-    for epoch in range(config.epochs):
-        optimizer.lr = config.lr * (LR_DECAY if epoch >= decay_from else 1.0)
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            y = labels[idx]
-            acts = model.forward(feats[idx])
-            try:
-                if track is not None:
-                    trace.balance_rows += track(step, acts, y)
-                loss_new, dlogits = loss_fn(acts.logits, y)
-                loss_old, old_dlogits = (0.0, None) if old_loss is None else old_loss(acts.logits, idx)
-            except FloatingPointError as exc:
-                raise DivergenceError(
-                    f"non-finite loss at phase {phase_index}, step {step}: {exc}"
-                ) from exc
-            if not np.isfinite(loss_new) or not np.isfinite(loss_old):
-                raise DivergenceError(f"non-finite loss at phase {phase_index}, step {step}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value ends as a DivergenceError
+        for epoch in range(config.epochs):
+            optimizer.lr = config.lr * (LR_DECAY if epoch >= decay_from else 1.0)
+            perm = rng.permutation(n)
+            live = not model.layers  # without a hidden layer no unit can die
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                y = labels[idx]
+                acts = model.forward(feats[idx])
+                live = live or acts.masks[-1].any()
+                try:
+                    if track is not None:
+                        trace.balance_rows += track(step, acts, y)
+                    loss_new, dlogits = loss_fn(acts.logits, y)
+                    loss_old, old_dlogits = (0.0, None) if old_loss is None else old_loss(acts.logits, idx)
+                except FloatingPointError as exc:
+                    raise DivergenceError(
+                        f"non-finite loss at phase {phase_index}, step {step}: {exc}"
+                    ) from exc
+                if not np.isfinite(loss_new) or not np.isfinite(loss_old):
+                    raise DivergenceError(f"non-finite loss at phase {phase_index}, step {step}")
 
-            if old_dlogits is not None:  # backward is linear: one pass for the summed loss
-                dlogits = dlogits + old_dlogits
-            grads, deltas = model.backward(acts, dlogits)
-            flat = _flatten(grads)
-            grad_new, grad_old = _contribution_sums(flat, acts, deltas, y >= old_classes)
-            optimizer.step(grads)
-
-            trace.rows.append(
-                StepRecord(
+                if old_dlogits is not None:  # backward is linear: one pass for the summed loss
+                    dlogits = dlogits + old_dlogits
+                grads, deltas = model.backward(acts, dlogits)
+                flat = _flatten(grads)
+                grad_new, grad_old = _contribution_sums(flat, acts, deltas, y >= old_classes)
+                record = StepRecord(
                     phase=phase_index,
                     epoch=epoch,
                     step=step,
@@ -445,8 +444,16 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
                     contrib_inner=float(np.dot(grad_new, grad_old)),
                     batch_size=int(idx.size),
                 )
-            )
-            step += 1
+                gradient = (record.grad_new_norm, record.grad_old_norm, record.grad_total_sq, record.contrib_inner)
+                if not all(map(math.isfinite, gradient)):
+                    raise DivergenceError(f"non-finite gradient at phase {phase_index}, step {step}")
+                optimizer.step(grads)
+                trace.rows.append(record)
+                step += 1
+            if not live:
+                raise DegenerateTrainingError(
+                    f"dead network: no unit of the last hidden layer fired in phase {phase_index}, epoch {epoch}"
+                )
     return trace
 
 
@@ -516,7 +523,7 @@ class FirstPhase:
     the model and the memory out of it and never changes it.
     """
 
-    config: TrainConfig  # loss_variant normalised to plain cross-entropy
+    config: TrainConfig  # as given; phase 0 reads no loss_variant
     model: Classifier
     memory: ExemplarMemory
     trace: StepTrace
@@ -537,7 +544,8 @@ def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
     test = concat_sets(stream.test_phases[: t + 1])
     next_sigma_max = None
     try:
-        correct = model.predict(test.features) == test.labels
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite logit raises below
+            correct = model.predict(test.features) == test.labels
         if t + 1 < stream.num_phases:
             next_sigma_max = _old_phase_curvature(model, stream.phases[: t + 1], seed=config.seed)
     except FloatingPointError as exc:
@@ -572,7 +580,6 @@ def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
 
 def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
     """Train phase 0, fill the exemplar memory and take phase 1's curvature."""
-    config = replace(config, loss_variant=LOSS_CE)
     model = Classifier(stream.dim, config.hidden, stream.classes_through(0), rng_for(config.seed, INIT, 0))
     memory = ExemplarMemory(
         mode=config.memory_mode, budget=config.memory_budget, selection=config.memory_selection, seed=config.seed
@@ -607,7 +614,7 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
     sigma_max = start.sigma_max
     for t in range(1, stream.num_phases):
         teacher = model.copy()
-        model.expand_head(len(stream.class_range(t)), rng_for(config.seed, INIT, t))
+        model.expand_head(stream.classes_through(t) - stream.classes_before(t), rng_for(config.seed, INIT, t))
         train_set = merged_training_set(memory, stream.phases[t])
         traces.append(train_phase(model, train_set, config, t, teacher, stream.classes_before(t)))
         entry, sigma_max = _close_phase(stream, t, model, memory, train_set, traces[-1], config, sigma_max)

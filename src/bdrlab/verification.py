@@ -22,7 +22,6 @@ from . import balance
 from .balance import ce_with_offset, weighted_ce
 from .data import LabeledSet
 from .diagnostics import cauchy_gap, f_max, hessian_top_eigen, peak_bound
-from .tensor import finite_diff_check
 from .training import Activations, Classifier, _flatten, _old_phase_hvp, distill_loss
 
 
@@ -31,6 +30,38 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def finite_diff_check(f, x, step=1e-5):
+    """Worst relative disagreement between the gradient ``f`` reports at
+    ``x`` and central finite differences of its value.
+
+    ``f`` maps a float64 array to ``(value, gradient)``: a closed-form loss
+    head, or a tape function through ``tensor.value_and_grad``. Relative error per
+    coordinate is floored at 1e-8 in the denominator, so a constant function
+    scores exactly 0.
+    """
+    x = np.array(x, dtype=np.float64)
+    value, grad = f(x.copy())
+    if not np.isfinite(value):
+        raise FloatingPointError("f(x) is not finite")
+    analytic = np.array(grad, dtype=np.float64).ravel()
+    if analytic.size != x.size:
+        raise ValueError(f"gradient has {analytic.size} entries for {x.size} inputs")
+    flat = x.ravel()
+    numeric = np.zeros_like(analytic)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = f(x)[0]
+        flat[i] = orig - step
+        lo = f(x)[0]
+        flat[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * step)
+    if analytic.size == 0:
+        return 0.0
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / scale).max())
 
 
 def _set_flat_params(model, vec):

@@ -100,7 +100,7 @@ def _fresh_state(counts, means, variances, m=0.8, m_prime=0.8, beta=0.99, tau=1.
         count=np.asarray(counts, float),
     )
     schedule = init_schedule(
-        class_priors(counts), stats.weights(), m=m, m_prime=m_prime, beta=beta, tau=tau
+        class_priors(counts), compensation(stats.variance), m=m, m_prime=m_prime, beta=beta, tau=tau
     )
     return stats, schedule
 

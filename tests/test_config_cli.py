@@ -85,6 +85,23 @@ class TestConfigParsing:
         assert replace(run, loss_variant=cfg.loss_variant, seed=cfg.seed) == cfg
 
 
+def _runaway_config(tmp_path, initial_classes):
+    """The benchmark config at lr = 1e300 for one full-batch step, seed 0."""
+    text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 1e300").replace("epochs = 12", "epochs = 1")
+    text = text.replace("batch_size = 32", "batch_size = 1000").replace("seeds = 0, 1, 2, 3, 4", "seeds = 0")
+    config_path = tmp_path / "runaway.cfg"
+    config_path.write_text(text.replace("initial_classes = 4", f"initial_classes = {initial_classes}"))
+    return config_path
+
+
+def _python(*args):
+    """A fresh interpreter on this checkout's bdrlab, with every warning shown."""
+    src = os.path.dirname(os.path.dirname(bdrlab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONWARNINGS="always")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 class TestCmdRun:
     def test_writes_one_report_per_variant_and_prints_summaries(self, tmp_path, capsys):
         config_path = tmp_path / "exp.cfg"
@@ -158,20 +175,24 @@ class TestCmdRun:
         assert "memoryy" in capsys.readouterr().err
 
     def test_dead_network_is_one_line_and_exit_one(self, tmp_path, capsys):
-        # lr = 0.5 kills the last hidden layer in phase 0, so every class's feature variance is zero
+        # lr = 0.5 kills the last hidden layer in phase 0, which every variant
+        # shares, so the seed's first variant stops there
         text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 0.5")
         text = text.replace("seeds = 0, 1, 2, 3, 4", "seeds = 0")
         config_path = tmp_path / "dead.cfg"
         config_path.write_text(text)
         assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("training degenerated: all-zero variances")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training degenerated: dead network")
+        assert err[0].endswith(" (variant ce, seed 0)")
 
     def test_failure_keeps_finished_summaries_and_names_its_pair(self, tmp_path, capsys):
-        # ce and cr finish on the dead network; bdr stops in its compensation weights
-        text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 0.5")
+        # tau acts on bdr only: ce and cr finish, and bdr's first offset overflows
+        text = BENCHMARK_CONFIG.read_text().replace("tau = 2.0", "tau = 1e308")
         text = text.replace("seeds = 0, 1, 2, 3, 4", "seeds = 0")
-        config_path = tmp_path / "dead.cfg"
+        config_path = tmp_path / "overflow.cfg"
         config_path.write_text(text)
         assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
@@ -182,9 +203,9 @@ class TestCmdRun:
     def test_failure_with_jobs_names_every_report_on_disk(self, tmp_path, capsys):
         # a seed after the failed one either never starts or, when it was
         # already running, has each report it wrote named on stderr
-        text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 0.5")
+        text = BENCHMARK_CONFIG.read_text().replace("tau = 2.0", "tau = 1e308")
         text = text.replace("seeds = 0, 1, 2, 3, 4", "seeds = 0, 1, 2")
-        config_path = tmp_path / "dead.cfg"
+        config_path = tmp_path / "overflow.cfg"
         config_path.write_text(text)
         out = tmp_path / "out"
         assert main(["run", str(config_path), "--out", str(out), "--jobs", "2"]) == 1
@@ -202,19 +223,23 @@ class TestCmdRun:
         # one step at lr = 1e300 leaves phase 0's model non-finite; closing the
         # phase must end the run as a divergence, not a traceback or a
         # chance-level accuracy taken from NaN logits
-        text = BENCHMARK_CONFIG.read_text().replace("lr = 0.03", "lr = 1e300").replace("epochs = 12", "epochs = 1")
-        text = text.replace("batch_size = 32", "batch_size = 1000").replace("seeds = 0, 1, 2, 3, 4", "seeds = 0")
-        config_path = tmp_path / "runaway.cfg"
-        config_path.write_text(text.replace("initial_classes = 4", f"initial_classes = {initial_classes}"))
+        config_path = _runaway_config(tmp_path, initial_classes)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main(["run", str(config_path), "--out", str(out)]) == 1
+        assert main(["run", str(config_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("training diverged: ")
         assert err[0].endswith(" (variant ce, seed 0)")
         assert not list(out.glob("*.json"))
+
+    def test_divergence_prints_no_numpy_warning(self, tmp_path):
+        # out of process, where no test harness collects numpy's warnings
+        config_path = _runaway_config(tmp_path, "4")
+        done = _python("-m", "bdrlab.cli", "run", str(config_path), "--out", str(tmp_path / "out"))
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged: "), done.stderr
 
     def test_run_never_imports_scipy_optimize(self, tmp_path):
         # only the balanced-risk oracle behind `verify` needs scipy.optimize
@@ -225,10 +250,8 @@ class TestCmdRun:
             f"code = main(['run', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
             "print('scipy.optimize' in sys.modules)\nsys.exit(code)\n"
         )
-        src = os.path.dirname(os.path.dirname(bdrlab.__file__))
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        done = _python("-c", script)
+        assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
     def test_report_body_schema(self, tmp_path):

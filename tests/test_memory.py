@@ -16,6 +16,16 @@ def _set_of(features, labels, classes):
     return LabeledSet(np.asarray(features, float), np.asarray(labels, np.int64), classes)
 
 
+def _rows(memory, label):
+    """The rows stored for ``label`` in selection order, as the replay set holds them."""
+    replay = memory.as_labeled_set(max(memory.index_map()) + 1)
+    return replay.features[replay.labels == label]
+
+
+def _stored_counts(memory):
+    return [len(indices) for indices in memory.index_map().values()]
+
+
 def _brute_force_first_pick(features):
     """Enumerate every candidate for the first greedy pick."""
     f = np.asarray(features, float)
@@ -93,24 +103,24 @@ class TestExemplarMemory:
         memory = ExemplarMemory(mode="per_class", budget=2, selection="herding", seed=0)
         data = _set_of(np.arange(10)[:, None], np.zeros(10), 1)
         memory.update(data, IDENTITY)
-        assert memory.stored_count(0) == 2
+        assert len(memory.index_map()[0]) == 2
 
     def test_global_budget_split(self):
         memory = ExemplarMemory(mode="global", budget=6, selection="herding", seed=0)
         data = _set_of(np.arange(12)[:, None], np.repeat([0, 1, 2], 4), 3)
         memory.update(data, IDENTITY)
-        assert [memory.stored_count(c) for c in (0, 1, 2)] == [2, 2, 2]
+        assert [len(memory.index_map()[c]) for c in (0, 1, 2)] == [2, 2, 2]
 
     def test_global_trim_keeps_selection_prefix(self):
         memory = ExemplarMemory(mode="global", budget=4, selection="herding", seed=0)
         first = _set_of(np.arange(6)[:, None], np.repeat([0, 1], 3), 2)
         memory.update(first, IDENTITY)
-        before = {c: memory.rows_for(c).copy() for c in memory.classes()}
+        before = {c: _rows(memory, c) for c in memory.index_map()}
         second = _set_of(100 + np.arange(6)[:, None], np.repeat([2, 3], 3), 4)
         memory.update(second, IDENTITY)
         for c in (0, 1):
-            assert memory.stored_count(c) == 1
-            np.testing.assert_array_equal(memory.rows_for(c), before[c][:1])
+            assert len(memory.index_map()[c]) == 1
+            np.testing.assert_array_equal(_rows(memory, c), before[c][:1])
 
     def test_quota_zero_after_trim_rejected(self):
         memory = ExemplarMemory(mode="global", budget=2, selection="herding", seed=0)
@@ -124,7 +134,7 @@ class TestExemplarMemory:
         memory = ExemplarMemory(mode="per_class", budget=1, selection="herding", seed=0)
         data = _set_of([[0.0], [10.0], [5.0]], [0, 0, 0], 1)
         memory.update(data, IDENTITY)
-        np.testing.assert_array_equal(memory.rows_for(0), [[5.0]])
+        np.testing.assert_array_equal(_rows(memory, 0), [[5.0]])
 
     def test_random_selection_seed_deterministic(self):
         picks = []
@@ -132,7 +142,7 @@ class TestExemplarMemory:
             memory = ExemplarMemory(mode="per_class", budget=3, selection="random", seed=11)
             data = _set_of(np.arange(20)[:, None], np.zeros(20), 1)
             memory.update(data, IDENTITY)
-            picks.append(memory.rows_for(0).ravel().tolist())
+            picks.append(_rows(memory, 0).ravel().tolist())
         assert picks[0] == picks[1]
 
     def test_budget_never_exceeded_over_random_sequences(self):
@@ -148,16 +158,16 @@ class TestExemplarMemory:
                 next_class += classes
                 memory.update(_set_of(rows, labels, next_class), IDENTITY)
                 if mode == "per_class":
-                    assert all(memory.stored_count(c) <= budget for c in memory.classes())
+                    assert all(count <= budget for count in _stored_counts(memory))
                 else:
-                    assert memory.size <= budget
+                    assert sum(_stored_counts(memory)) <= budget
 
     def test_stored_rows_are_verbatim_samples(self):
         rng = np.random.default_rng(4)
         data = _set_of(rng.standard_normal((10, 3)), np.zeros(10), 1)
         memory = ExemplarMemory(mode="per_class", budget=4, selection="herding", seed=0)
         memory.update(data, IDENTITY)
-        for row in memory.rows_for(0):
+        for row in _rows(memory, 0):
             assert any(np.array_equal(row, sample) for sample in data.features)
 
     def test_index_map_points_at_sources(self):
@@ -165,7 +175,7 @@ class TestExemplarMemory:
         memory = ExemplarMemory(mode="per_class", budget=2, selection="herding", seed=0)
         memory.update(data, IDENTITY)
         for cls, indices in memory.index_map().items():
-            for stored, src in zip(memory.rows_for(cls), indices):
+            for stored, src in zip(_rows(memory, cls), indices):
                 np.testing.assert_array_equal(stored, data.features[src])
 
 
@@ -182,7 +192,7 @@ class TestMergedTrainingSet:
         new = _set_of(100 + np.arange(100)[:, None], np.full(100, 2), 3)
         merged = merged_training_set(memory, new)
         assert merged.n == 104
-        counts = merged.class_counts()
+        counts = np.bincount(merged.labels)
         assert counts[0] == 2 and counts[1] == 2 and counts[2] == 100
 
     def test_dimension_mismatch(self):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bdrlab.balance import ce_with_offset, weighted_ce
-from bdrlab.tensor import Tensor, finite_diff_check, matmul, relu, value_and_grad
+from bdrlab.tensor import Tensor, matmul, relu, value_and_grad
 from bdrlab.training import distill_loss
+from bdrlab.verification import finite_diff_check
 
 
 class TestMatmul:

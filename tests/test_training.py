@@ -9,7 +9,7 @@ from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
 from bdrlab.diagnostics import cauchy_gap
 from bdrlab.memory import merged_training_set
 from bdrlab.seeding import BATCH, INIT, rng_for
-from bdrlab.tensor import Tensor, finite_diff_check, matmul, relu
+from bdrlab.tensor import Tensor, matmul, relu
 from bdrlab.training import (
     LOSS_VARIANTS,
     Classifier,
@@ -25,7 +25,7 @@ from bdrlab.training import (
     run_experiment,
     train_phase,
 )
-from bdrlab.verification import frozen_mask_forward, frozen_mask_hessian, kinked_relu_problem
+from bdrlab.verification import finite_diff_check, frozen_mask_forward, frozen_mask_hessian, kinked_relu_problem
 
 
 def small_config(**overrides):
@@ -254,7 +254,7 @@ class TestTrainPhase:
         config = small_config(distill_weight=0.0)
         model = Classifier(3, config.hidden, 1, rng_for(0, INIT, 0))
         train_phase(model, data, config, 0)
-        assert model.accuracy(data.features, data.labels) == 100.0
+        assert np.all(model.predict(data.features) == data.labels)
 
     def test_phase_zero_epoch_means_decrease(self):
         data = make_gaussian_mixture(4, 40, 6, 3.0, seed=1)
@@ -266,6 +266,7 @@ class TestTrainPhase:
         means = [losses[epochs == e].mean() for e in range(6)]
         assert all(a > b for a, b in zip(means, means[1:]))
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_raises_with_step(self):
         # a non-finite activation anywhere must surface as a divergence error
         # naming the step, not as a bare numeric exception
@@ -275,9 +276,10 @@ class TestTrainPhase:
         data = LabeledSet(x, rng.integers(0, 2, 20).astype(np.int64), 2)
         config = small_config(epochs=1, batch_size=20, hidden=(16,))
         model = Classifier(3, config.hidden, 2, rng_for(0, INIT, 0))
-        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="step 0"):
+        with pytest.raises(DivergenceError, match="step 0"):
             train_phase(model, data, config, 0)
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_hidden_weight_diverges_at_step_zero(self):
         # a NaN pre-activation reaches the logits instead of leaving a unit
         # that is silently dead for the rest of training
@@ -285,9 +287,23 @@ class TestTrainPhase:
         config = small_config(epochs=2, batch_size=20, hidden=(16,))
         model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
         model.layers[0][0][:, 3] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="step 0"):
+        with pytest.raises(DivergenceError, match="step 0"):
             train_phase(model, data, config, 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gradient_ends_before_its_update(self):
+        # the loss stays finite, but the squared gradient norm overflows
+        data = make_gaussian_mixture(2, 20, 6, 3.0, seed=4)
+        data = LabeledSet(data.features * 1e200, data.labels, data.class_count)
+        config = small_config(epochs=1, batch_size=8, hidden=(16,))
+        model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
+        before = [p.copy() for p in model.params()]
+        with pytest.raises(DivergenceError, match="non-finite gradient at phase 0, step"):
+            train_phase(model, data, config, 0)
+        for p, unchanged in zip(model.params(), before):
+            np.testing.assert_array_equal(p, unchanged)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("variant", LOSS_VARIANTS)
     def test_runaway_learning_rate_diverges_in_every_variant(self, variant):
         # bdr's balance update meets the blown-up features first: its
@@ -295,7 +311,7 @@ class TestTrainPhase:
         data = make_gaussian_mixture(2, 20, 6, 3.0, seed=4)
         config = TrainConfig(epochs=6, batch_size=8, hidden=(16,), lr=1e8, loss_variant=variant)
         model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="phase 1, step"):
+        with pytest.raises(DivergenceError, match="phase 1, step"):
             train_phase(model, data, config, 1, old_classes=1)
 
     def test_trace_identity_links_contributions_to_total(self):
@@ -477,10 +493,8 @@ class TestRunExperiment:
         direct_trace = train_phase(direct, stream.phases[0], config, 0)
         looped_losses = looped.traces[0].column("loss_new")
         np.testing.assert_array_equal(looped_losses, direct_trace.column("loss_new"))
-        acc = direct.accuracy(
-            np.concatenate([t.features for t in stream.test_phases[:1]]),
-            np.concatenate([t.labels for t in stream.test_phases[:1]]),
-        )
+        test = stream.test_phases[0]
+        acc = 100.0 * float(np.mean(direct.predict(test.features) == test.labels))
         assert looped.report["phases"][0]["accuracy"]["overall"] == acc
 
     def test_memory_serialised_into_report(self):
@@ -598,9 +612,10 @@ class TestSharedFirstPhase:
             run_experiment(stream, small_config(loss_variant="bdr"), start)
 
     def test_loss_variant_is_normalised(self):
+        # phase 0 trains with plain cross-entropy whatever the variant
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=15), 2, 2, seed=15)
         start = first_phase(stream, small_config(loss_variant="bdr"))
-        assert start.config == replace(small_config(), loss_variant="ce")
+        assert start.trace == first_phase(stream, small_config()).trace
         assert start.sigma_max is not None
 
     def test_single_phase_stream(self):
