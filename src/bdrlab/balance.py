@@ -8,9 +8,9 @@ added to the logits, throttles the gradient pull of classes that are ahead
 decision boundaries, without the over-correction a pure frequency prior
 causes.
 
-The loss heads are closed-form: each returns the batch-mean loss and its
-gradient at the logits, ``softmax(logits + offsets) - onehot`` over the
-batch size for the offset cross-entropy that ce, cr and bdr train with.
+ce, cr and bdr all train with one closed-form head, ``ce_with_offset``: it
+returns the batch-mean cross-entropy of the shifted logits and its gradient
+at the logits, ``softmax(logits + offsets) - onehot`` over the batch size.
 
 Conventions fixed here:
   * intra-class variance reduces to one scalar per class by averaging the
@@ -84,23 +84,6 @@ def ce_with_offset(logits, offsets, labels):
     grad[rows, y] -= 1.0
     grad *= 1.0 / n
     return float(-logp[rows, y].mean()), grad
-
-
-def weighted_ce(logits, labels, sample_weights):
-    """Cross-entropy with a fixed non-negative weight per sample, averaged
-    over the batch; returns ``(loss, dlogits)``."""
-    z = checked_logits(logits)
-    n, k = z.shape
-    w = np.asarray(sample_weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
-    y = _checked_labels(labels, n, k)
-    logp = log_softmax(z)
-    rows = np.arange(n)
-    grad = np.exp(logp)
-    grad[rows, y] -= 1.0
-    grad *= (w * (1.0 / n))[:, None]
-    return float((w * -logp[rows, y]).mean()), grad
 
 
 def class_priors(counts):
@@ -244,12 +227,3 @@ def bdr_loss(logits, labels, schedule: OffsetSchedule):
     if schedule.pi_hat.size != k:
         raise ValueError(f"schedule covers {schedule.pi_hat.size} classes but logits have {k}")
     return ce_with_offset(logits, offsets(schedule), labels)
-
-
-def bal_ce_loss(logits, labels, priors):
-    """Constant-rebalancing baseline: cross-entropy shifted by log priors;
-    returns ``(loss, dlogits)``."""
-    p = np.asarray(priors, dtype=np.float64)
-    if np.any(p <= 0.0):
-        raise ValueError("priors must be strictly positive")
-    return ce_with_offset(logits, np.log(p), labels)

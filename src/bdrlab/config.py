@@ -189,7 +189,7 @@ def checked(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
 
 
 def parse_config(text) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -84,7 +84,6 @@ class PhaseStream:
 
     phases: tuple
     test_phases: tuple
-    class_order: np.ndarray
 
     @property
     def num_phases(self):
@@ -215,4 +214,4 @@ def split_phases(data, initial_classes, increment, seed=0):
         train_phases.append(LabeledSet(np.concatenate(train_rows), np.concatenate(train_labels), seen))
         test_phases.append(LabeledSet(np.concatenate(test_rows), np.concatenate(test_labels), seen))
         position = seen
-    return PhaseStream(phases=tuple(train_phases), test_phases=tuple(test_phases), class_order=class_order)
+    return PhaseStream(phases=tuple(train_phases), test_phases=tuple(test_phases))

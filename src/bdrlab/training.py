@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import balance
-from .balance import DegenerateTrainingError, ce_with_offset, checked_logits, log_softmax, weighted_ce
+from .balance import DegenerateTrainingError, ce_with_offset, checked_logits, log_softmax
 from .data import LabeledSet, PhaseStream, concat_sets
 from .diagnostics import TopEigen, bound_report, destruction_report, hessian_top_eigen, metrics
 from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM, ExemplarMemory, merged_training_set
@@ -54,8 +54,7 @@ from .seeding import BATCH, INIT, rng_for
 LOSS_CE = "ce"
 LOSS_CR = "cr"
 LOSS_BDR = "bdr"
-LOSS_REWEIGHT = "reweight"
-LOSS_VARIANTS = (LOSS_CE, LOSS_CR, LOSS_BDR, LOSS_REWEIGHT)
+LOSS_VARIANTS = (LOSS_CE, LOSS_CR, LOSS_BDR)
 
 HEAD_INIT_SCALE = 0.01
 LR_DECAY = 0.1  # learning-rate factor over the last third of each phase's epochs
@@ -144,11 +143,9 @@ class Classifier:
     """ReLU stack over the inputs plus a linear head that grows with the classes."""
 
     def __init__(self, in_dim, hidden_sizes, n_classes, rng):
-        self.in_dim = int(in_dim)
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.layers = []
-        fan_in = self.in_dim
-        for width in self.hidden_sizes:
+        fan_in = in_dim
+        for width in hidden_sizes:
             self.layers.append((rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)), np.zeros(width)))
             fan_in = width
         self.head_w = rng.normal(0.0, HEAD_INIT_SCALE, (fan_in, n_classes))
@@ -294,9 +291,10 @@ def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
     with ``variant``: a ``(logits, labels) -> (loss, dlogits)`` closure, and
     for bdr the step's balance update (None for the other variants).
 
-    cr, bdr and reweight read the class priors of ``data``. bdr freezes its
-    offset schedule from those priors and the training-status statistics of
-    one pass of ``model`` over ``data``; its update ``track(step, acts, y)``
+    Every variant is cross-entropy on shifted logits: ce shifts them by
+    zero and cr by the log class priors of ``data``. bdr freezes its offset
+    schedule from those priors and the training-status statistics of one
+    pass of ``model`` over ``data``; its update ``track(step, acts, y)``
     blends a batch into those statistics, moves the schedule's offsets, and
     returns the step's (step, class, psi, omega, pi_hat) balance rows.
     """
@@ -306,10 +304,8 @@ def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
         return (lambda logits, y: ce_with_offset(logits, zero, y)), None
     priors = balance.class_priors(np.bincount(data.labels, minlength=k))
     if variant == LOSS_CR:
-        return (lambda logits, y: balance.bal_ce_loss(logits, y, priors)), None
-    if variant == LOSS_REWEIGHT:
-        class_weights = (1.0 / priors) / k
-        return (lambda logits, y: weighted_ce(logits, y, class_weights[y])), None
+        log_priors = np.log(priors)
+        return (lambda logits, y: ce_with_offset(logits, log_priors, y)), None
     # the config has checked the variant, so what is left is bdr
     source = "features" if config.variance_source == "feature" else "logits"
     stats = balance.stats_from_pass(getattr(model.forward(data.features), source), data.labels, k)

@@ -4,7 +4,6 @@ import pytest
 from bdrlab import balance
 from bdrlab.balance import (
     ClassStats,
-    bal_ce_loss,
     bdr_loss,
     ce_with_offset,
     class_priors,
@@ -15,6 +14,9 @@ from bdrlab.balance import (
     scalar_variance,
     stats_from_pass,
 )
+from bdrlab.data import LabeledSet
+from bdrlab.seeding import INIT, rng_for
+from bdrlab.training import LOSS_CR, Classifier, TrainConfig, _phase_loss
 from bdrlab.verification import balanced_risk_equivalence, risk_decision_rule
 
 
@@ -244,25 +246,44 @@ class TestBdrLoss:
             assert grad[0, 0] == pytest.approx(closed, abs=1e-10)
 
 
+def _cr_loss(counts):
+    """cr's classification loss for a training set with ``counts`` rows per class."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    data = LabeledSet(np.zeros((labels.size, 2)), labels, len(counts))
+    model = Classifier(2, (3,), len(counts), rng_for(0, INIT, 0))
+    loss_fn, track = _phase_loss(LOSS_CR, model, data, TrainConfig())
+    assert track is None
+    return loss_fn
+
+
 class TestBalCeLoss:
+    # cr trains on logits shifted by the log class priors of its training set
+
     def test_balanced_counts_equal_plain_ce(self):
         rng = np.random.default_rng(7)
         z = rng.standard_normal((4, 3))
         y = rng.integers(0, 3, 4)
-        psi = class_priors([10, 10, 10])
         plain, _ = ce_with_offset(z, np.zeros(3), y)
-        assert bal_ce_loss(z, y, psi)[0] == pytest.approx(plain, abs=1e-12)
+        assert _cr_loss([10, 10, 10])(z, y)[0] == pytest.approx(plain, abs=1e-12)
 
     def test_direct_evaluation(self):
-        loss, _ = bal_ce_loss([[0.0, 0.0]], np.array([1]), np.array([0.9, 0.1]))
+        loss, _ = _cr_loss([9, 1])(np.array([[0.0, 0.0]]), np.array([1]))
         assert loss == pytest.approx(-np.log(0.1), abs=1e-12)
 
     def test_majority_class_gradient_shrinks(self):
-        psi = np.array([0.9, 0.1])
         z = np.array([[0.0, 0.0]])
-        _, grad = bal_ce_loss(z, np.array([0]), psi)
+        _, grad = _cr_loss([9, 1])(z, np.array([0]))
         _, plain_grad = ce_with_offset(z, np.zeros(2), np.array([0]))
         assert abs(grad[0, 0]) < abs(plain_grad[0, 0])
+
+    def test_is_ce_with_log_prior_offsets(self):
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((5, 3))
+        y = rng.integers(0, 3, 5)
+        loss, grad = _cr_loss([6, 3, 1])(z, y)
+        want_loss, want_grad = ce_with_offset(z, np.log(class_priors([6, 3, 1])), y)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
 
 class TestStatsFromPass:

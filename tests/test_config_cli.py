@@ -16,6 +16,7 @@ from bdrlab.reporting import body_hash, read_report
 from bdrlab.training import StepRecord, run_experiment
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL_CONFIG = """
 [dataset]
@@ -54,6 +55,11 @@ class TestConfigParsing:
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_readme_config_block_is_the_defaults(self):
+        # each key's trailing comment is a comment, not part of its value
+        block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(block) == ExperimentConfig()
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="memoryy"):
@@ -353,6 +359,7 @@ class TestConfigErrorsAtParseTime:
             ({"seeds = 0": "seeds = 0, 1, 0"}, "'seeds' in [run]"),
             ({"variants = ce, bdr": "variants = ce, ce"}, "'variants' in [run]"),
             ({"variants = ce, bdr": "variants = ce, focal"}, "'variants' in [run]"),
+            ({"variants = ce, bdr": "variants = ce, reweight"}, "'variants' in [run]"),
             ({"budget = 3": "budget = 0"}, "'budget' in [memory]"),
             ({"budget = 3": "mode = global\nbudget = 3"}, "'budget' in [memory]"),
             ({"hidden = 12, 12": "hidden = 12, 12\ndistill_temperature = 0"}, "'distill_temperature' in [train]"),
@@ -374,6 +381,7 @@ class TestConfigErrorsAtParseTime:
             "duplicate_seed",
             "duplicate_variant",
             "unknown_variant",
+            "removed_reweight_variant",
             "zero_budget",
             "global_budget_below_classes",
             "zero_temperature",

@@ -178,9 +178,16 @@ class TestSplitPhases:
             np.testing.assert_array_equal(pa.labels, pb.labels)
 
     def test_different_seeds_change_class_order(self):
+        # the source rows that land in phase 0, each with the label it gets
+        # there, depend only on the seed's class order
         data = make_gaussian_mixture(8, 12, 3, 4.0, seed=2)
-        orders = {tuple(split_phases(data, 4, 2, seed=s).class_order) for s in range(6)}
-        assert len(orders) > 1
+        placements = set()
+        for seed in range(6):
+            stream = split_phases(data, 4, 2, seed=seed)
+            rows = np.concatenate([stream.phases[0].features, stream.test_phases[0].features])
+            labels = np.concatenate([stream.phases[0].labels, stream.test_phases[0].labels])
+            placements.add(frozenset(zip(labels.tolist(), map(tuple, rows.tolist()))))
+        assert len(placements) > 1
 
     def test_per_class_counts_conserved(self):
         data = make_gaussian_mixture(6, 30, 3, 4.0, seed=3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdrlab.balance import ce_with_offset, weighted_ce
+from bdrlab.balance import ce_with_offset
 from bdrlab.tensor import Tensor, matmul, relu, value_and_grad
 from bdrlab.training import distill_loss
 from bdrlab.verification import finite_diff_check
@@ -176,12 +176,10 @@ class TestGradientBattery:
             wr = rng.standard_normal((d, k))
             mix = rng.standard_normal((b, k))
             teacher = rng.standard_normal((b, k))
-            weights = rng.uniform(0.2, 2.0, b)
             cases = [
                 (rng.standard_normal((b, d)), value_and_grad(lambda x: (matmul(x, wr) * mix).sum())),
                 (rng.standard_normal((b, k)) + 0.3, value_and_grad(lambda x: (relu(x) * mix).mean())),
                 (rng.standard_normal((b, k)), lambda x: ce_with_offset(x, offs, labels)),
-                (rng.standard_normal((b, k)), lambda x: weighted_ce(x, labels, weights)),
                 (rng.standard_normal((b, k)), lambda x: distill_loss(x, teacher, k, 1.0, 1.0)),
                 (rng.standard_normal((b, k + 1)), _first_columns(lambda x: ce_with_offset(x, offs, labels), k)),
             ]
