@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import replace
 
 from .balance import DegenerateTrainingError
 from .config import ConfigError, ExperimentConfig, checked, load_config, parse_value, protocol_error
@@ -59,15 +60,13 @@ def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
     """One experiment: train, write report + traces, return the summary.
 
     ``seed_start`` is a dict shared by the runs of one seed. The first run
-    fills it with the stream and the first phase, so their cost is part of
-    that run's wall time; the others continue from them.
+    fills it with the first phase, stream included, so their cost is part
+    of that run's wall time; the others continue from it.
     """
     started = time.perf_counter()
-    config = cfg.train_config(variant, seed)
     if not seed_start:
-        stream = build_stream(cfg, seed)
-        seed_start.update(stream=stream, start=first_phase(stream, config))
-    result = run_experiment(seed_start["stream"], config, seed_start["start"])
+        seed_start["start"] = first_phase(build_stream(cfg, seed), replace(cfg, seed=seed))
+    result = run_experiment(seed_start["start"], variant)
     stem = f"{variant}_{seed}"
     records = [row for trace in result.traces for row in trace.rows]
     balance_rows = [row for trace in result.traces for row in trace.balance_rows]
@@ -209,6 +208,8 @@ def _cmd_sweep(args):
     for text in texts:  # every value is checked before the first run starts
         try:
             value = parse_value(attr, text)
+            if value in (v for v, _ in swept_configs):
+                raise ConfigError(f"{value} listed more than once")
             swept_configs.append((value, checked(cfg, **{attr: value})))
         except ConfigError as exc:
             raise ConfigError(f"sweep value {args.param}={text}: {exc}") from exc

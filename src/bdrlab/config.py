@@ -22,8 +22,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig(TrainConfig):
     """A whole experiment: the dataset, the protocol and the runs, plus the
-    inherited training settings that every run shares. ``seed`` and
-    ``loss_variant`` name the run a config describes (see ``train_config``)."""
+    inherited training settings that every run shares; a run of seed s uses
+    ``replace(cfg, seed=s)`` and names its loss variant to ``run_experiment``."""
 
     # dataset
     dataset_kind: str = "gaussian"
@@ -76,10 +76,6 @@ class ExperimentConfig(TrainConfig):
                 raise SettingError(name, message)
         if kind != "idx":
             phase_sizes(self.classes, self.initial_classes, self.increment)
-
-    def train_config(self, variant, seed):
-        """The settings of one (variant, seed) run."""
-        return replace(self, loss_variant=variant, seed=int(seed))
 
     def as_dict(self):
         """Every config key's value, by attribute, in ``_SCHEMA`` order."""

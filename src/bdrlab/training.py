@@ -28,10 +28,10 @@ A phase is set up in ``train_phase``, which decides before the first step
 what the phase trains with: the loss, bdr's offset schedule and where
 ``loss_old`` comes from. It is closed in ``_close_phase``, which stores the
 exemplars, builds the whole report entry and takes the next phase's
-old-phase curvature. Phase 0 has no old classes and trains with plain
-cross-entropy whatever the variant, so a run splits in two: ``first_phase``
-trains and closes phase 0, and ``run_experiment`` continues from copies of
-that record. The variants of a seed share one record; ``bdrlab run``
+old-phase curvature. A loss variant acts only against old classes, so
+phase 0 is plain cross-entropy and a run splits in two: ``first_phase``
+trains and closes phase 0, and ``run_experiment`` continues a variant from
+copies of that record. The variants of a seed share one record; ``bdrlab run``
 computes it once per seed and charges it to the seed's first variant.
 """
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +82,6 @@ class TrainConfig:
     lr: float = 0.03
     sgd_momentum: float = 0.9
     seed: int = 0
-    loss_variant: str = LOSS_CE
     distill_weight: float = 1.0
     distill_temperature: float = 2.0
     hidden: tuple = (64, 64)
@@ -112,7 +111,6 @@ class TrainConfig:
             value = getattr(self, name)
             checks.append((name, 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value}"))
         choices = {
-            "loss_variant": LOSS_VARIANTS,
             "variance_source": ("feature", "logit"),
             "memory_mode": (PER_CLASS, GLOBAL),
             "memory_selection": (HERDING, RANDOM),
@@ -276,7 +274,7 @@ class StepRecord:
 @dataclass
 class StepTrace:
     rows: list = field(default_factory=list)
-    balance_rows: list = field(default_factory=list)  # (step, class, psi, omega, pi_hat)
+    balance_rows: list = field(default_factory=list)  # (phase, step, class, psi, omega, pi_hat)
 
     def column(self, name):
         return np.asarray([getattr(r, name) for r in self.rows])
@@ -294,9 +292,9 @@ def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
     Every variant is cross-entropy on shifted logits: ce shifts them by
     zero and cr by the log class priors of ``data``. bdr freezes its offset
     schedule from those priors and the training-status statistics of one
-    pass of ``model`` over ``data``; its update ``track(step, acts, y)``
-    blends a batch into those statistics, moves the schedule's offsets, and
-    returns the step's (step, class, psi, omega, pi_hat) balance rows.
+    pass of ``model`` over ``data``; its update ``track(phase, step, acts,
+    y)`` blends a batch into those statistics, moves the schedule's offsets
+    and returns the step's balance rows, one per class.
     """
     k = model.n_classes
     if variant == LOSS_CE:
@@ -306,16 +304,17 @@ def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
     if variant == LOSS_CR:
         log_priors = np.log(priors)
         return (lambda logits, y: ce_with_offset(logits, log_priors, y)), None
-    # the config has checked the variant, so what is left is bdr
+    # run_experiment has checked the variant, so what is left is bdr
     source = "features" if config.variance_source == "feature" else "logits"
     stats = balance.stats_from_pass(getattr(model.forward(data.features), source), data.labels, k)
     schedule = balance.init_schedule(
         priors, balance.compensation(stats.variance), config.m, config.m_prime, config.beta, config.tau
     )
 
-    def track(step, acts, y):
+    def track(phase, step, acts, y):
         omega = balance.momentum_update(stats, schedule, getattr(acts, source), y)
-        return [(step, c, float(schedule.priors[c]), float(omega[c]), float(schedule.pi_hat[c])) for c in range(k)]
+        psi, pi_hat = schedule.priors, schedule.pi_hat
+        return [(phase, step, c, float(psi[c]), float(omega[c]), float(pi_hat[c])) for c in range(k)]
 
     return (lambda logits, y: balance.bdr_loss(logits, y, schedule)), track
 
@@ -350,20 +349,20 @@ def _contribution_sums(flat, acts, deltas, new_rows):
     return (direct, rest) if new_is_direct else (rest, direct)
 
 
-def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teacher=None, old_classes=0):
-    """SGD of ``model``, in place, over one phase's merged training set;
-    returns the phase's ``StepTrace``.
+def train_phase(
+    model, data: LabeledSet, config: TrainConfig, phase_index, teacher=None, old_classes=0, variant=LOSS_CE
+):
+    """SGD of ``model``, in place, over one phase's merged training set with
+    the loss ``variant``; returns the phase's ``StepTrace``.
 
     Everything the phase trains with is decided here, before the first step.
-    Phase 0 (``old_classes`` = 0) trains with plain cross-entropy whatever
-    the configured variant, and bdr freezes its offset schedule from the
-    model and the set as the phase starts (``_phase_loss``). ``loss_old`` is
-    the consolidation term against ``teacher`` when one is given and
-    ``distill_weight`` is positive. The teacher is frozen and the set fixed,
-    so its logits are computed once, in ``batch_size`` chunks in
-    training-set order, and each step reads its rows; a row's BLAS result
-    can depend on the rows sharing its matmul, so these logits may differ
-    from per-batch ones at rounding level. Otherwise ``loss_old`` is the
+    bdr freezes its offset schedule from the model and the set as the phase
+    starts (``_phase_loss``). ``loss_old`` is the consolidation term against
+    ``teacher`` when one is given and ``distill_weight`` is positive. The
+    teacher is frozen and the set fixed, so its logits are computed once, in
+    ``batch_size`` chunks in training-set order, and each step reads its
+    rows; a row's BLAS result can depend on the rows sharing its matmul, so
+    these logits may differ from per-batch ones at rounding level. Otherwise ``loss_old`` is the
     plain cross-entropy, at each step, of the set's old-class rows: in a run
     these are the replayed exemplars, which ``merged_training_set`` puts
     first. That cross-entropy takes no part in the update.
@@ -376,7 +375,6 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
     feats = data.features
     labels = data.labels
     n = data.n
-    variant = config.loss_variant if old_classes > 0 else LOSS_CE
     loss_fn, track = _phase_loss(variant, model, data, config)
     old_loss = None  # (logits, batch rows) -> (loss_old, its dlogits or None)
     replayed = labels < old_classes
@@ -413,7 +411,7 @@ def train_phase(model, data: LabeledSet, config: TrainConfig, phase_index, teach
                 live = live or acts.masks[-1].any()
                 try:
                     if track is not None:
-                        trace.balance_rows += track(step, acts, y)
+                        trace.balance_rows += track(phase_index, step, acts, y)
                     loss_new, dlogits = loss_fn(acts.logits, y)
                     loss_old, old_dlogits = (0.0, None) if old_loss is None else old_loss(acts.logits, idx)
                 except FloatingPointError as exc:
@@ -512,14 +510,15 @@ class RunResult:
 
 @dataclass(frozen=True)
 class FirstPhase:
-    """Phase 0 of a run and the phase-1 curvature computed from its model.
+    """Phase 0 of a run on ``stream`` and the phase-1 curvature from its model.
 
-    Phase 0 trains with plain cross-entropy whatever the loss variant, so
-    every variant of a seed shares this record. ``run_experiment`` copies
-    the model and the memory out of it and never changes it.
+    Phase 0 trains with plain cross-entropy, so every variant of a seed
+    shares this record. ``run_experiment`` copies the model and the memory
+    out of it and never changes it.
     """
 
-    config: TrainConfig  # as given; phase 0 reads no loss_variant
+    stream: PhaseStream
+    config: TrainConfig
     model: Classifier
     memory: ExemplarMemory
     trace: StepTrace
@@ -582,27 +581,19 @@ def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
     )
     trace = train_phase(model, stream.phases[0], config, 0)
     entry, sigma_max = _close_phase(stream, 0, model, memory, stream.phases[0], trace, config, None)
-    return FirstPhase(config, model, memory, trace, entry, sigma_max)
+    return FirstPhase(stream, config, model, memory, trace, entry, sigma_max)
 
 
-def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase | None = None) -> RunResult:
-    """Execute the full phase loop and assemble the machine-readable report.
+def run_experiment(start: FirstPhase, variant) -> RunResult:
+    """Continue ``start``, a run's first phase, on its stream and settings
+    with the loss ``variant``, and assemble the machine-readable report.
 
-    ``start`` is the run's first phase, from ``first_phase`` on the same
-    stream with a config that differs at most in ``loss_variant``; without
-    it the first phase is trained here. Each later phase starts from a copy
-    of the previous model as its teacher, grows the head, merges the replay
-    set, trains and closes.
+    Each later phase starts from a copy of the previous model as its
+    teacher, grows the head, merges the replay set, trains and closes.
     """
-    if start is None:
-        start = first_phase(stream, config)
-    differing = [
-        f.name
-        for f in fields(TrainConfig)
-        if f.name != "loss_variant" and getattr(start.config, f.name) != getattr(config, f.name)
-    ]
-    if differing:
-        raise ValueError(f"first phase was built with different settings: {', '.join(differing)}")
+    if variant not in LOSS_VARIANTS:
+        raise ValueError(f"unknown loss variant {variant!r}, expected one of {', '.join(LOSS_VARIANTS)}")
+    stream, config = start.stream, start.config
     model = start.model.copy()
     memory = copy.deepcopy(start.memory)
     traces = [start.trace]
@@ -612,13 +603,13 @@ def run_experiment(stream: PhaseStream, config: TrainConfig, start: FirstPhase |
         teacher = model.copy()
         model.expand_head(stream.classes_through(t) - stream.classes_before(t), rng_for(config.seed, INIT, t))
         train_set = merged_training_set(memory, stream.phases[t])
-        traces.append(train_phase(model, train_set, config, t, teacher, stream.classes_before(t)))
+        traces.append(train_phase(model, train_set, config, t, teacher, stream.classes_before(t), variant))
         entry, sigma_max = _close_phase(stream, t, model, memory, train_set, traces[-1], config, sigma_max)
         phase_reports.append(entry)
     avg, last = metrics([entry["accuracy"]["overall"] for entry in phase_reports])
     report = {
         "schema_version": 2,
-        "variant": config.loss_variant,
+        "variant": variant,
         "seed": config.seed,
         "phases": phase_reports,
         "avg": avg,

@@ -35,10 +35,8 @@ def _run(cfg, variant, seed):
     key = (cfg, variant, seed)
     if key not in _RESULT_CACHE:
         if (cfg, seed) not in _FIRST_PHASE_CACHE:
-            stream = build_stream(cfg, seed)
-            _FIRST_PHASE_CACHE[(cfg, seed)] = (stream, first_phase(stream, cfg.train_config(variant, seed)))
-        stream, start = _FIRST_PHASE_CACHE[(cfg, seed)]
-        _RESULT_CACHE[key] = run_experiment(stream, cfg.train_config(variant, seed), start)
+            _FIRST_PHASE_CACHE[(cfg, seed)] = first_phase(build_stream(cfg, seed), replace(cfg, seed=seed))
+        _RESULT_CACHE[key] = run_experiment(_FIRST_PHASE_CACHE[(cfg, seed)], variant)
     return _RESULT_CACHE[key]
 
 

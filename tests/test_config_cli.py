@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,8 +13,8 @@ import pytest
 import bdrlab
 from bdrlab.cli import build_stream, main
 from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, serialize_config
-from bdrlab.reporting import body_hash, read_report
-from bdrlab.training import StepRecord, run_experiment
+from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, body_hash, read_report
+from bdrlab.training import StepRecord, first_phase, run_experiment
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,6 +62,18 @@ class TestConfigParsing:
         block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
         assert parse_config(block) == ExperimentConfig()
 
+    def test_readme_names_the_csv_columns_the_code_writes(self):
+        text = README.read_text()
+        written = {
+            "_steps.csv": [f.name for f in fields(StepRecord)],
+            "_balance.csv": BALANCE_COLUMNS,
+            "_boxplot.csv": BOXPLOT_COLUMNS,
+            "sweep_<param>.csv": SWEEP_COLUMNS,
+        }
+        for name, columns in written.items():
+            documented = re.findall(re.escape(name) + r"`[^`]*columns\s+`([^`]+)`", text)
+            assert documented == [",".join(columns)], name
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="memoryy"):
             parse_config("[memoryy]\nbudget = 3\n")
@@ -83,12 +96,6 @@ class TestConfigParsing:
         attrs = [attr for keys in _SCHEMA.values() for attr, _ in keys.values()]
         assert list(ExperimentConfig().as_dict()) == attrs
         assert len(attrs) == 28
-
-    def test_train_config_keeps_every_setting(self):
-        cfg = parse_config(SMALL_CONFIG)
-        run = cfg.train_config("bdr", 3)
-        assert (run.loss_variant, run.seed) == ("bdr", 3)
-        assert replace(run, loss_variant=cfg.loss_variant, seed=cfg.seed) == cfg
 
 
 def _runaway_config(tmp_path, initial_classes):
@@ -284,7 +291,21 @@ class TestCmdRun:
         assert (out / "bdr_0_balance.csv").exists()
         assert not (out / "ce_0_balance.csv").exists()
         header = (out / "bdr_0_balance.csv").read_text().splitlines()[0]
-        assert header == "step,class,psi,omega,pi_hat"
+        assert header == "phase,step,class,psi,omega,pi_hat"
+
+    def test_balance_rows_are_keyed_by_phase_and_step(self, tmp_path):
+        # every phase counts its steps from 0, so two phases share step numbers
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG.replace("classes = 4", "classes = 6").replace("ce, bdr", "bdr"))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+        balance = (out / "bdr_0_balance.csv").read_text().splitlines()[1:]
+        keys = [tuple(int(v) for v in line.split(",")[:3]) for line in balance]
+        assert len(set(keys)) == len(keys)
+        assert {phase for phase, _, _ in keys} == {1, 2}
+        steps = [line.split(",") for line in (out / "bdr_0_steps.csv").read_text().splitlines()[1:]]
+        incremental = {(int(row[0]), int(row[2])) for row in steps if int(row[0]) >= 1}
+        assert {(phase, step) for phase, step, _ in keys} == incremental
 
     def test_step_csv_schema(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
@@ -303,7 +324,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         assert main(["run", str(config_path), "--out", str(out)]) == 0
         cfg = parse_config(SMALL_CONFIG)
-        result = run_experiment(build_stream(cfg, 0), cfg.train_config("bdr", 0))
+        result = run_experiment(first_phase(build_stream(cfg, 0), cfg), "bdr")
         records = [r for trace in result.traces for r in trace.rows]
         lines = (out / "bdr_0_steps.csv").read_text().splitlines()[1:]
         assert len(lines) == len(records) > 0
@@ -416,8 +437,10 @@ class TestConfigErrorsAtParseTime:
             ("R", "2", "2.5", "'budget' in [memory]"),
             ("R", "2", "0", "'budget' in [memory]"),
             ("tau", "1.0", "-1", "'tau' in [balance]"),
+            ("tau", "1", "1.0", "1.0 listed more than once"),
+            ("R", "3", "03", "3 listed more than once"),
         ],
-        ids=["S", "m", "fractional_R", "zero_R", "negative_tau"],
+        ids=["S", "m", "fractional_R", "zero_R", "negative_tau", "repeated_tau", "repeated_R"],
     )
     def test_sweep_rejects(self, tmp_path, capsys, param, good, bad, key):
         config_path = tmp_path / "exp.cfg"

@@ -240,18 +240,20 @@ class TestCrossRunCorrelation:
     def test_grad_traffic_correlates_with_peak_destruction(self):
         # across runs, more squared-gradient traffic up to the peak should
         # come with a larger peak rise in the old loss
+        from dataclasses import replace
+
         from scipy.stats import spearmanr
 
         from bdrlab.config import ExperimentConfig
         from bdrlab.cli import build_stream
-        from bdrlab.training import run_experiment
+        from bdrlab.training import first_phase, run_experiment
 
         cfg = ExperimentConfig(classes=6, per_class=48, dim=4, initial_classes=2,
                                increment=2, epochs=4, batch_size=16, hidden=(24, 24))
         traffic, rises = [], []
         for seed in range(12):
             stream = build_stream(cfg, seed)
-            report = run_experiment(stream, cfg.train_config("ce", seed)).report
+            report = run_experiment(first_phase(stream, replace(cfg, seed=seed)), "ce").report
             for entry in report["phases"]:
                 if entry["bound"] is None:
                     continue

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -32,6 +33,11 @@ def small_config(**overrides):
     base = dict(epochs=4, batch_size=16, lr=0.05, seed=0, hidden=(16, 16), memory_budget=3)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def full_run(stream, config, variant="ce"):
+    """Phase 0 of ``stream`` and then ``variant`` from it."""
+    return run_experiment(first_phase(stream, config), variant)
 
 
 class TestClassifier:
@@ -309,17 +315,17 @@ class TestTrainPhase:
         # bdr's balance update meets the blown-up features first: its
         # non-finite variance must end as the same typed divergence
         data = make_gaussian_mixture(2, 20, 6, 3.0, seed=4)
-        config = TrainConfig(epochs=6, batch_size=8, hidden=(16,), lr=1e8, loss_variant=variant)
+        config = TrainConfig(epochs=6, batch_size=8, hidden=(16,), lr=1e8)
         model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
         with pytest.raises(DivergenceError, match="phase 1, step"):
-            train_phase(model, data, config, 1, old_classes=1)
+            train_phase(model, data, config, 1, old_classes=1, variant=variant)
 
     def test_trace_identity_links_contributions_to_total(self):
         # recorded ||grad||^2 equals the recomputation from the stored
         # new/old contribution sums
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=2), 2, 2, seed=2)
         config = small_config(epochs=2)
-        result = run_experiment(stream, config)
+        result = full_run(stream, config)
         checked = 0
         for trace in result.traces:
             for row in trace.rows:
@@ -388,12 +394,12 @@ class TestTrainPhase:
         # parameters by lr times the recorded gradient. The student does not
         # start from its teacher, so the consolidation gradient is not zero.
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
-        start = first_phase(stream, small_config(loss_variant=variant))
+        start = first_phase(stream, small_config())
         data = merged_training_set(start.memory, stream.phases[1])
-        config = replace(start.config, loss_variant=variant, epochs=1, batch_size=data.n)
+        config = replace(start.config, epochs=1, batch_size=data.n)
         model = Classifier(4, config.hidden, 4, rng_for(5, INIT, 0))
         initial = model.copy()
-        trace = train_phase(model, data, config, 1, teacher=start.model, old_classes=2)
+        trace = train_phase(model, data, config, 1, teacher=start.model, old_classes=2, variant=variant)
         (row,) = trace.rows
         update = (_flatten(initial.params()) - _flatten(model.params())) / config.lr
         assert row.grad_total_sq == pytest.approx(float(update @ update), rel=1e-10)
@@ -404,7 +410,7 @@ class TestTrainPhase:
         loss_fn, track = _phase_loss(variant, initial, data, config)
         acts = initial.forward(x)
         if track is not None:
-            track(0, acts, y)
+            track(1, 0, acts, y)
         teacher_logits = start.model.forward(data.features).logits[idx]
         _, old_dlogits = distill_loss(acts.logits, teacher_logits, 2, config.distill_temperature, config.distill_weight)
         grads, deltas = initial.backward(acts, loss_fn(acts.logits, y)[1] + old_dlogits)
@@ -442,20 +448,20 @@ class TestTrainPhase:
 
 
     @staticmethod
-    def _phase_one_of_a_run(**overrides):
+    def _phase_one_of_a_run(variant="ce", **overrides):
         # a run's phase-1 inputs rebuilt from its shared first phase, and the run
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
         config = small_config(epochs=2, **overrides)
         start = first_phase(stream, config)
-        run = run_experiment(stream, config, start)
+        run = run_experiment(start, variant)
         model = start.model.copy().expand_head(2, rng_for(config.seed, INIT, 1))
         return stream, config, start, model, run.traces[1]
 
     def test_bdr_phase_builds_its_balance_state_as_the_run_does(self):
-        stream, config, start, model, run_trace = self._phase_one_of_a_run(loss_variant="bdr")
+        stream, config, start, model, run_trace = self._phase_one_of_a_run("bdr")
         teacher = start.model.copy()
         data = merged_training_set(start.memory, stream.phases[1])
-        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2, variant="bdr")
         assert len(trace.balance_rows) == 4 * len(trace.rows) > 0
         assert trace.balance_rows == run_trace.balance_rows
         assert trace.rows == run_trace.rows
@@ -473,14 +479,14 @@ class TestTrainPhase:
 class TestRunExperiment:
     def test_single_phase_avg_equals_last(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=4), 4, 1, seed=4)
-        report = run_experiment(stream, small_config()).report
+        report = full_run(stream, small_config()).report
         assert report["avg"] == report["last"]
         assert len(report["phases"]) == 1
 
     def test_same_seed_same_report(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=5), 2, 2, seed=5)
-        a = run_experiment(stream, small_config()).report
-        b = run_experiment(stream, small_config()).report
+        a = full_run(stream, small_config()).report
+        b = full_run(stream, small_config()).report
         assert a == b
 
     def test_incremental_loop_matches_plain_supervised_on_one_phase(self):
@@ -488,7 +494,7 @@ class TestRunExperiment:
         # loop must be numerically identical to calling train_phase directly
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=6), 4, 1, seed=6)
         config = small_config()
-        looped = run_experiment(stream, config)
+        looped = full_run(stream, config)
         direct = Classifier(4, config.hidden, 4, rng_for(config.seed, INIT, 0))
         direct_trace = train_phase(direct, stream.phases[0], config, 0)
         looped_losses = looped.traces[0].column("loss_new")
@@ -499,13 +505,13 @@ class TestRunExperiment:
 
     def test_memory_serialised_into_report(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=7), 2, 2, seed=7)
-        report = run_experiment(stream, small_config()).report
+        report = full_run(stream, small_config()).report
         assert set(report["memory"]) == {"0", "1", "2", "3"}
         assert all(len(v) == 3 for v in report["memory"].values())
 
     def test_destruction_and_bound_reported_for_incremental_phases(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=8), 2, 2, seed=8)
-        result = run_experiment(stream, small_config())
+        result = full_run(stream, small_config())
         report = result.report
         assert report["phases"][0]["destruction"] is None
         entry = report["phases"][1]
@@ -519,7 +525,7 @@ class TestRunExperiment:
         # the step CSV holds, rebuilds the smallest gap bit for bit
         stream = split_phases(make_gaussian_mixture(6, 40, 4, 3.0, seed=18), 2, 2, seed=18)
         config = small_config(batch_size=12)
-        result = run_experiment(stream, config)
+        result = full_run(stream, config)
         assert result.report["schema_version"] == 2
         for entry, trace in zip(result.report["phases"][1:], result.traces[1:]):
             assert set(entry["destruction"]) == {"initial", "peak", "f_max", "step_of_peak", "converged", "box"}
@@ -539,7 +545,7 @@ class TestRunExperiment:
 
     def test_bound_records_how_the_curvature_estimate_ended(self):
         stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=8), 2, 2, seed=8)
-        report = run_experiment(stream, small_config()).report
+        report = full_run(stream, small_config()).report
         for entry in report["phases"][1:]:
             bound = entry["bound"]
             assert bound["sigma_converged"] is True
@@ -548,14 +554,15 @@ class TestRunExperiment:
 
     def test_bdr_schedule_rows_recorded(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=10), 2, 2, seed=10)
-        result = run_experiment(stream, small_config(loss_variant="bdr"))
+        result = full_run(stream, small_config(), "bdr")
         assert not result.traces[0].balance_rows  # phase 0 has no schedule
         rows = result.traces[1].balance_rows
         assert rows, "incremental phase must dump the balance trajectory"
-        steps = {r[0] for r in rows}
-        classes = {r[1] for r in rows}
+        assert {r[0] for r in rows} == {1}
+        steps = {r[1] for r in rows}
+        classes = {r[2] for r in rows}
         assert classes == set(range(4))
-        psi = np.array([r[2] for r in rows if r[0] == min(steps)])
+        psi = np.array([r[3] for r in rows if r[1] == min(steps)])
         assert psi.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -563,9 +570,9 @@ class TestRunExperiment:
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=10), 2, 2, seed=10)
         omegas = {}
         for source in ("feature", "logit"):
-            rows = run_experiment(stream, small_config(loss_variant="bdr", variance_source=source)).traces[1].balance_rows
+            rows = full_run(stream, small_config(variance_source=source), "bdr").traces[1].balance_rows
             assert rows and np.isfinite(np.asarray(rows, dtype=np.float64)).all()
-            omegas[source] = np.array([row[3] for row in rows])
+            omegas[source] = np.array([row[4] for row in rows])
         assert omegas["feature"].shape == omegas["logit"].shape
         assert not np.array_equal(omegas["feature"], omegas["logit"])
 
@@ -580,45 +587,40 @@ class TestSharedFirstPhase:
 
     def test_continuation_matches_full_run(self):
         stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=12), 2, 2, seed=12)
-        start = first_phase(stream, small_config(loss_variant="bdr"))
+        start = first_phase(stream, small_config())
         for variant in LOSS_VARIANTS:
-            config = small_config(loss_variant=variant)
-            shared = run_experiment(stream, config, start)
-            alone = run_experiment(stream, config)
+            shared = run_experiment(start, variant)
+            alone = full_run(stream, small_config(), variant)
             assert shared.report == alone.report
             assert _trace_rows(shared) == _trace_rows(alone)
 
     def test_record_is_not_mutated(self):
         stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=13), 2, 2, seed=13)
         start = first_phase(stream, small_config())
-        first = run_experiment(stream, small_config(loss_variant="ce"), start)
+        first = run_experiment(start, "ce")
         for variant in ("cr", "bdr"):
-            run_experiment(stream, small_config(loss_variant=variant), start)
-        again = run_experiment(stream, small_config(loss_variant="ce"), start)
+            run_experiment(start, variant)
+        again = run_experiment(start, "ce")
         assert again.report == first.report
         assert _trace_rows(again) == _trace_rows(first)
 
-    @pytest.mark.parametrize("change", [{"lr": 0.04}, {"seed": 1}])
-    def test_mismatched_record_rejected(self, change):
+    def test_unknown_variant_rejected_and_record_kept(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=14), 2, 2, seed=14)
-        start = first_phase(stream, small_config(**change))
-        name = next(iter(change))
-        with pytest.raises(ValueError, match=name):
-            run_experiment(stream, small_config(loss_variant="bdr"), start)
-
-    def test_loss_variant_is_normalised(self):
-        # phase 0 trains with plain cross-entropy whatever the variant
-        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=15), 2, 2, seed=15)
-        start = first_phase(stream, small_config(loss_variant="bdr"))
-        assert start.trace == first_phase(stream, small_config()).trace
-        assert start.sigma_max is not None
+        start = first_phase(stream, small_config())
+        kept = copy.deepcopy((start.model.params(), start.memory.index_map(), start.trace, start.entry))
+        with pytest.raises(ValueError, match="unknown loss variant 'focal'"):
+            run_experiment(start, "focal")
+        params, index_map, trace, entry = kept
+        assert all(np.array_equal(p, q) for p, q in zip(start.model.params(), params))
+        assert (start.memory.index_map(), start.trace, start.entry) == (index_map, trace, entry)
+        assert run_experiment(start, "ce").report == full_run(stream, small_config()).report
 
     def test_single_phase_stream(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=16), 4, 1, seed=16)
         start = first_phase(stream, small_config())
         assert start.sigma_max is None
-        shared = run_experiment(stream, small_config(loss_variant="bdr"), start)
-        alone = run_experiment(stream, small_config(loss_variant="bdr"))
+        shared = run_experiment(start, "bdr")
+        alone = full_run(stream, small_config(), "bdr")
         assert shared.report == alone.report
         assert len(shared.report["phases"]) == 1
         assert shared.report["variant"] == "bdr"
@@ -686,10 +688,6 @@ class TestTrainConfigValidation:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
-
-    def test_bad_variant(self):
-        with pytest.raises(ValueError):
-            TrainConfig(loss_variant="focal")
 
     def test_bad_momentum_range(self):
         with pytest.raises(ValueError):
