@@ -166,7 +166,8 @@ def init_schedule(priors, weights_at_init, m, m_prime, beta, tau):
 
     ``m`` only acts here; ``m_prime`` takes over during training and ``beta``
     controls how much the frozen blend keeps dominating. The four settings
-    are taken as given: ``TrainConfig`` checks them once, when it is built.
+    are taken as given: ``config.ExperimentConfig`` checks them once, when it
+    is built.
     """
     psi = np.asarray(priors, dtype=np.float64)
     omega = np.asarray(weights_at_init, dtype=np.float64)

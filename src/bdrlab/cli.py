@@ -27,9 +27,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 
 from .balance import DegenerateTrainingError
-from .config import ConfigError, ExperimentConfig, checked, load_config, parse_value, protocol_error
-from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, split_phases
-from .memory import MemoryConfigError
+from .config import ConfigError, ExperimentConfig, check_class_count, load_config, parse_value
+from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, phase_sizes, split_phases
 from .reporting import write_balance_csv, write_boxplot_csv, write_report, write_step_csv, write_sweep_csv
 from .training import DivergenceError, first_phase, run_experiment
 
@@ -53,6 +52,7 @@ def build_stream(cfg: ExperimentConfig, seed):
         data = make_rings(cfg.classes, cfg.per_class, cfg.ring_noise, seed=seed)
     else:
         data = load_idx(cfg.idx_images, cfg.idx_labels)
+        check_class_count(cfg, data.class_count)  # known only now that the file is read
     return split_phases(data, cfg.initial_classes, cfg.increment, seed=seed)
 
 
@@ -193,6 +193,18 @@ def _cmd_verify(args):
     return 0 if failures == 0 else 1
 
 
+def _as_trained(cfg: ExperimentConfig):
+    """``cfg`` with B set to the size of its first phase, S when B is 0 or
+    below. The size does not depend on the class count: an idx config,
+    whose file is not read here, uses ``classes`` as a stand-in and stays as
+    it is when that does not split."""
+    try:
+        first = phase_sizes(cfg.classes, cfg.initial_classes, cfg.increment)[0]
+    except ProtocolError:
+        return cfg
+    return replace(cfg, initial_classes=first)
+
+
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     if args.param not in SWEEP_PARAMS:
@@ -208,9 +220,13 @@ def _cmd_sweep(args):
     for text in texts:  # every value is checked before the first run starts
         try:
             value = parse_value(attr, text)
-            if value in (v for v, _ in swept_configs):
-                raise ConfigError(f"{value} listed more than once")
-            swept_configs.append((value, checked(cfg, **{attr: value})))
+            swept = replace(cfg, **{attr: value})
+            for earlier, earlier_cfg in swept_configs:
+                if value == earlier:
+                    raise ConfigError(f"{value} listed more than once")
+                if _as_trained(swept) == _as_trained(earlier_cfg):
+                    raise ConfigError(f"trains the same protocol as {args.param}={earlier}")
+            swept_configs.append((value, swept))
         except ConfigError as exc:
             raise ConfigError(f"sweep value {args.param}={text}: {exc}") from exc
     rows = []
@@ -273,12 +289,6 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ProtocolError as exc:  # an idx dataset's class count is known only once it is read
-        print(f"config error: {protocol_error(exc)}", file=sys.stderr)
-        return 2
-    except MemoryConfigError as exc:  # so is whether a global budget covers its classes
-        print(f"config error: bad value for 'budget' in [memory]: {exc}", file=sys.stderr)
         return 2
     except IdxFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Experiment configuration: a strict, typed INI dialect.
 
 Sections mirror the package's modules. Unknown sections or keys are
-rejected by name, and serialization is canonical, so a config round-trips
-byte-identically through parse -> serialize.
+rejected by name. ``ExperimentConfig`` holds every setting and checks each
+one when it is built, so a bad value fails the same way from a file, a
+``sweep --values`` entry or Python.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import configparser
 from dataclasses import dataclass, replace
 
 from .data import ProtocolError, phase_sizes
-from .memory import GLOBAL
-from .training import LOSS_VARIANTS, SettingError, TrainConfig
+from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM
+from .training import LOSS_VARIANTS
 
 
 class ConfigError(ValueError):
@@ -20,10 +21,11 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig(TrainConfig):
-    """A whole experiment: the dataset, the protocol and the runs, plus the
-    inherited training settings that every run shares; a run of seed s uses
-    ``replace(cfg, seed=s)`` and names its loss variant to ``run_experiment``."""
+class ExperimentConfig:
+    """A whole experiment: the dataset, the protocol, the training settings
+    and the runs. Every setting is checked once, when the object is built;
+    a run of seed s uses ``replace(cfg, seed=s)`` and names its loss variant
+    to ``run_experiment``."""
 
     # dataset
     dataset_kind: str = "gaussian"
@@ -37,16 +39,57 @@ class ExperimentConfig(TrainConfig):
     # protocol
     initial_classes: int = 4
     increment: int = 2
+    # memory
+    memory_mode: str = PER_CLASS
+    memory_budget: int = 5
+    memory_selection: str = HERDING
+    # train
+    epochs: int = 12
+    batch_size: int = 32
+    lr: float = 0.03
+    sgd_momentum: float = 0.9
+    distill_weight: float = 1.0
+    distill_temperature: float = 2.0
+    variance_source: str = "feature"
+    hidden: tuple = (64, 64)
+    # balance
+    m: float = 0.8
+    m_prime: float = 0.8
+    beta: float = 0.99
+    tau: float = 1.0
     # run
     variants: tuple = ("ce", "bdr")
     seeds: tuple = (0,)
     out: str = "runs"
+    seed: int = 0  # the seed of one run, one of ``seeds``
 
     def __post_init__(self):
-        super().__post_init__()
         kind = self.dataset_kind
+        temperature = self.distill_temperature
         lowest_seed = min(self.seeds, default=0)
         checks = [
+            ("lr", self.lr > 0, f"learning rate must be positive, got {self.lr}"),
+            ("sgd_momentum", 0.0 <= self.sgd_momentum < 1.0, f"momentum must lie in [0, 1), got {self.sgd_momentum}"),
+            ("distill_weight", self.distill_weight >= 0, f"distill weight must be non-negative, got {self.distill_weight}"),
+            ("distill_temperature", temperature > 0, f"distill_temperature must be positive, got {temperature}"),
+            ("tau", self.tau >= 0, f"tau must be non-negative, got {self.tau}"),
+            ("hidden", all(h >= 1 for h in self.hidden), f"hidden widths must be at least 1, got {self.hidden}"),
+        ]
+        for name in ("epochs", "batch_size", "memory_budget"):
+            value = getattr(self, name)
+            checks.append((name, value >= 1, f"{name} must be at least 1, got {value}"))
+        for name in ("m", "m_prime", "beta"):
+            value = getattr(self, name)
+            checks.append((name, 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value}"))
+        choices = {
+            "variance_source": ("feature", "logit"),
+            "memory_mode": (PER_CLASS, GLOBAL),
+            "memory_selection": (HERDING, RANDOM),
+        }
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            checks.append((name, value in allowed, f"{name} must be one of {', '.join(allowed)}, got {value!r}"))
+        checks += [
             ("dataset_kind", kind in ("gaussian", "rings", "idx"), f"unknown dataset kind {kind!r}"),
             ("separation", self.separation > 0, f"separation must be positive, got {self.separation}"),
             ("ring_noise", self.ring_noise >= 0, f"noise must be non-negative, got {self.ring_noise}"),
@@ -60,10 +103,6 @@ class ExperimentConfig(TrainConfig):
         if kind == "idx":
             for name in ("idx_images", "idx_labels"):
                 checks.append((name, bool(getattr(self, name)), "dataset kind 'idx' needs both images and labels paths"))
-        elif self.memory_mode == GLOBAL:  # an idx file's class count is known only once it is read
-            short = self.memory_budget < self.classes
-            message = f"a global budget of {self.memory_budget} leaves some of {self.classes} classes no exemplar"
-            checks.append(("memory_budget", not short, message))
         unknown = [v for v in self.variants if v not in LOSS_VARIANTS]
         message = f"unknown loss variant {', '.join(unknown)}, expected any of {', '.join(LOSS_VARIANTS)}"
         checks.append(("variants", not unknown, message))
@@ -73,9 +112,9 @@ class ExperimentConfig(TrainConfig):
             checks.append((name, not repeated, f"{', '.join(map(str, repeated))} listed more than once"))
         for name, ok, message in checks:
             if not ok:
-                raise SettingError(name, message)
-        if kind != "idx":
-            phase_sizes(self.classes, self.initial_classes, self.increment)
+                raise _bad_value(name, message)
+        if kind != "idx":  # an idx file's class count is checked once the file is read
+            check_class_count(self, self.classes)
 
     def as_dict(self):
         """Every config key's value, by attribute, in ``_SCHEMA`` order."""
@@ -84,6 +123,19 @@ class ExperimentConfig(TrainConfig):
             value = getattr(self, attr)
             out[attr] = list(value) if isinstance(value, tuple) else value
         return out
+
+
+def check_class_count(cfg: ExperimentConfig, classes):
+    """The two rules on the dataset's class count: a global budget leaves
+    each class an exemplar, and the protocol splits the classes into its
+    phases."""
+    if cfg.memory_mode == GLOBAL and cfg.memory_budget < classes:
+        message = f"a global budget of {cfg.memory_budget} leaves some of {classes} classes no exemplar"
+        raise _bad_value("memory_budget", message)
+    try:
+        phase_sizes(classes, cfg.initial_classes, cfg.increment)
+    except ProtocolError as exc:
+        raise _bad_value(("initial_classes", "increment"), exc) from exc
 
 
 def _parse_str_list(text):
@@ -95,14 +147,6 @@ def _parse_str_list(text):
 
 def _parse_int_list(text):
     return tuple(int(p) for p in _parse_str_list(text))
-
-
-def _fmt(value):
-    if isinstance(value, tuple):
-        return ", ".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # section -> key -> (attribute, parser)
@@ -154,14 +198,12 @@ _SCHEMA = {
 _KEY_OF = {attr: (section, key) for section, keys in _SCHEMA.items() for key, (attr, _) in keys.items()}
 
 
-def protocol_error(exc: ProtocolError):
-    """The config error for a class count the protocol cannot split."""
-    return ConfigError(f"bad value for 'initial_classes' or 'increment' in [protocol]: {exc}")
-
-
-def _bad_value(attr, detail):
-    section, key = _KEY_OF[attr]
-    return ConfigError(f"bad value for '{key}' in [{section}]: {detail}")
+def _bad_value(name, detail):
+    """The config error for the attribute ``name``, or a tuple of attributes
+    of one section, named by their keys."""
+    keys = [_KEY_OF[attr] for attr in ((name,) if isinstance(name, str) else name)]
+    named = " or ".join(f"'{key}'" for _, key in keys)
+    return ConfigError(f"bad value for {named} in [{keys[0][0]}]: {detail}")
 
 
 def parse_value(attr, text):
@@ -171,17 +213,6 @@ def parse_value(attr, text):
         return _SCHEMA[section][key][1](text)
     except ValueError as exc:
         raise _bad_value(attr, f"{text!r} ({exc})") from exc
-
-
-def checked(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """``replace(cfg, **overrides)``, with a rejected setting reported as a
-    config error that names its key."""
-    try:
-        return replace(cfg, **overrides)
-    except SettingError as exc:
-        raise _bad_value(exc.name, exc) from exc
-    except ProtocolError as exc:
-        raise protocol_error(exc) from exc
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -199,17 +230,7 @@ def parse_config(text) -> ExperimentConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             attr = _SCHEMA[section][key][0]
             overrides[attr] = parse_value(attr, raw)
-    return checked(ExperimentConfig(), **overrides)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for section, keys in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (attr, _) in keys.items():
-            lines.append(f"{key} = {_fmt(getattr(cfg, attr))}")
-        lines.append("")
-    return "\n".join(lines)
+    return ExperimentConfig(**overrides)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -4,7 +4,7 @@ Each class stores its samples verbatim with their source indices, both in
 selection order, so trimming under a global budget keeps the most
 representative prefix of each. Selection features come from the model as
 trained at insertion time and are never recomputed. The settings are taken
-as given: ``TrainConfig`` checks them once, when it is built.
+as given: ``config.ExperimentConfig`` checks them once, when it is built.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ PER_CLASS = "per_class"
 GLOBAL = "global"
 RANDOM = "random"
 HERDING = "herding"
-
-
-class MemoryConfigError(ValueError):
-    """The memory budget cannot accommodate the stored classes."""
 
 
 def herding_select(features, quota):
@@ -76,14 +72,7 @@ class ExemplarMemory:
             if label in self._store:
                 raise ValueError(f"class {label} is already stored; phases must bring disjoint classes")
         total_classes = len(self._store) + len(new_classes)
-        if self.mode == PER_CLASS:
-            quota = self.budget
-        else:
-            quota = self.budget // total_classes
-            if quota == 0:
-                raise MemoryConfigError(
-                    f"global budget {self.budget} spread over {total_classes} classes leaves no quota"
-                )
+        quota = self.budget if self.mode == PER_CLASS else self.budget // total_classes
         for label in new_classes:
             idx = phase_data.indices_of_class(label)
             rows = phase_data.features[idx]

@@ -33,6 +33,10 @@ phase 0 is plain cross-entropy and a run splits in two: ``first_phase``
 trains and closes phase 0, and ``run_experiment`` continues a variant from
 copies of that record. The variants of a seed share one record; ``bdrlab run``
 computes it once per seed and charges it to the seed's first variant.
+
+A ``config`` argument is a ``config.ExperimentConfig``, whose settings were
+checked when it was built; this module reads its fields and does not
+import it, since ``config.py`` imports ``LOSS_VARIANTS`` from here.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from . import balance
 from .balance import DegenerateTrainingError, ce_with_offset, checked_logits, log_softmax
 from .data import LabeledSet, PhaseStream, concat_sets
 from .diagnostics import TopEigen, bound_report, destruction_report, hessian_top_eigen, metrics
-from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM, ExemplarMemory, merged_training_set
+from .memory import ExemplarMemory, merged_training_set
 from .seeding import BATCH, INIT, rng_for
 
 LOSS_CE = "ce"
@@ -63,64 +67,6 @@ LR_DECAY_POINT = 2.0 / 3.0
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
-
-
-class SettingError(ValueError):
-    """A config field holds an invalid value; ``name`` is the field."""
-
-    def __init__(self, name, message):
-        super().__init__(message)
-        self.name = name
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Every per-run setting, checked once when the object is built."""
-
-    epochs: int = 12
-    batch_size: int = 32
-    lr: float = 0.03
-    sgd_momentum: float = 0.9
-    seed: int = 0
-    distill_weight: float = 1.0
-    distill_temperature: float = 2.0
-    hidden: tuple = (64, 64)
-    memory_mode: str = PER_CLASS
-    memory_budget: int = 5
-    memory_selection: str = HERDING
-    m: float = 0.8
-    m_prime: float = 0.8
-    beta: float = 0.99
-    tau: float = 1.0
-    variance_source: str = "feature"
-
-    def __post_init__(self):
-        temperature = self.distill_temperature
-        checks = [
-            ("lr", self.lr > 0, f"learning rate must be positive, got {self.lr}"),
-            ("sgd_momentum", 0.0 <= self.sgd_momentum < 1.0, f"momentum must lie in [0, 1), got {self.sgd_momentum}"),
-            ("distill_weight", self.distill_weight >= 0, f"distill weight must be non-negative, got {self.distill_weight}"),
-            ("distill_temperature", temperature > 0, f"distill_temperature must be positive, got {temperature}"),
-            ("tau", self.tau >= 0, f"tau must be non-negative, got {self.tau}"),
-            ("hidden", all(h >= 1 for h in self.hidden), f"hidden widths must be at least 1, got {self.hidden}"),
-        ]
-        for name in ("epochs", "batch_size", "memory_budget"):
-            value = getattr(self, name)
-            checks.append((name, value >= 1, f"{name} must be at least 1, got {value}"))
-        for name in ("m", "m_prime", "beta"):
-            value = getattr(self, name)
-            checks.append((name, 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value}"))
-        choices = {
-            "variance_source": ("feature", "logit"),
-            "memory_mode": (PER_CLASS, GLOBAL),
-            "memory_selection": (HERDING, RANDOM),
-        }
-        for name, allowed in choices.items():
-            value = getattr(self, name)
-            checks.append((name, value in allowed, f"{name} must be one of {', '.join(allowed)}, got {value!r}"))
-        for name, ok, message in checks:
-            if not ok:
-                raise SettingError(name, message)
 
 
 class Activations(NamedTuple):
@@ -284,7 +230,7 @@ def _flatten(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
 
-def _phase_loss(variant, model, data: LabeledSet, config: TrainConfig):
+def _phase_loss(variant, model, data: LabeledSet, config):
     """The classification loss of a phase that trains ``model`` on ``data``
     with ``variant``: a ``(logits, labels) -> (loss, dlogits)`` closure, and
     for bdr the step's balance update (None for the other variants).
@@ -349,9 +295,7 @@ def _contribution_sums(flat, acts, deltas, new_rows):
     return (direct, rest) if new_is_direct else (rest, direct)
 
 
-def train_phase(
-    model, data: LabeledSet, config: TrainConfig, phase_index, teacher=None, old_classes=0, variant=LOSS_CE
-):
+def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_classes=0, variant=LOSS_CE):
     """SGD of ``model``, in place, over one phase's merged training set with
     the loss ``variant``; returns the phase's ``StepTrace``.
 
@@ -518,7 +462,7 @@ class FirstPhase:
     """
 
     stream: PhaseStream
-    config: TrainConfig
+    config: object  # the run's settings, a config.ExperimentConfig
     model: Classifier
     memory: ExemplarMemory
     trace: StepTrace
@@ -573,7 +517,7 @@ def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
     return entry, next_sigma_max
 
 
-def first_phase(stream: PhaseStream, config: TrainConfig) -> FirstPhase:
+def first_phase(stream: PhaseStream, config) -> FirstPhase:
     """Train phase 0, fill the exemplar memory and take phase 1's curvature."""
     model = Classifier(stream.dim, config.hidden, stream.classes_through(0), rng_for(config.seed, INIT, 0))
     memory = ExemplarMemory(

@@ -14,9 +14,10 @@ from bdrlab.balance import (
     scalar_variance,
     stats_from_pass,
 )
+from bdrlab.config import ExperimentConfig
 from bdrlab.data import LabeledSet
 from bdrlab.seeding import INIT, rng_for
-from bdrlab.training import LOSS_CR, Classifier, TrainConfig, _phase_loss
+from bdrlab.training import LOSS_CR, Classifier, _phase_loss
 from bdrlab.verification import balanced_risk_equivalence, risk_decision_rule
 
 
@@ -251,7 +252,7 @@ def _cr_loss(counts):
     labels = np.repeat(np.arange(len(counts)), counts)
     data = LabeledSet(np.zeros((labels.size, 2)), labels, len(counts))
     model = Classifier(2, (3,), len(counts), rng_for(0, INIT, 0))
-    loss_fn, track = _phase_loss(LOSS_CR, model, data, TrainConfig())
+    loss_fn, track = _phase_loss(LOSS_CR, model, data, ExperimentConfig())
     assert track is None
     return loss_fn
 

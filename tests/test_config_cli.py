@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import bdrlab
 from bdrlab.cli import build_stream, main
-from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, serialize_config
+from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config
 from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, body_hash, read_report
 from bdrlab.training import StepRecord, first_phase, run_experiment
 
@@ -47,20 +48,21 @@ out = runs
 """
 
 
+def _readme_config_block():
+    return README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 class TestConfigParsing:
-    def test_round_trip_is_identical(self):
-        cfg = parse_config(SMALL_CONFIG)
-        text = serialize_config(cfg)
-        assert serialize_config(parse_config(text)) == text
-
-    def test_defaults_round_trip(self):
-        cfg = ExperimentConfig()
-        assert parse_config(serialize_config(cfg)) == cfg
-
     def test_readme_config_block_is_the_defaults(self):
         # each key's trailing comment is a comment, not part of its value
-        block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
-        assert parse_config(block) == ExperimentConfig()
+        assert parse_config(_readme_config_block()) == ExperimentConfig()
+
+    def test_readme_config_block_names_every_key_in_schema_order(self):
+        # a key missing from the block would still parse to its default
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+        parser.read_string(_readme_config_block())
+        documented = [(section, list(parser[section])) for section in parser.sections()]
+        assert documented == [(section, list(keys)) for section, keys in _SCHEMA.items()]
 
     def test_readme_names_the_csv_columns_the_code_writes(self):
         text = README.read_text()
@@ -439,8 +441,9 @@ class TestConfigErrorsAtParseTime:
             ("tau", "1.0", "-1", "'tau' in [balance]"),
             ("tau", "1", "1.0", "1.0 listed more than once"),
             ("R", "3", "03", "3 listed more than once"),
+            ("B", "0", "2", "trains the same protocol as B=0"),
         ],
-        ids=["S", "m", "fractional_R", "zero_R", "negative_tau", "repeated_tau", "repeated_R"],
+        ids=["S", "m", "fractional_R", "zero_R", "negative_tau", "repeated_tau", "repeated_R", "B_zero_reads_as_S"],
     )
     def test_sweep_rejects(self, tmp_path, capsys, param, good, bad, key):
         config_path = tmp_path / "exp.cfg"
@@ -504,6 +507,15 @@ class TestCmdSweep:
 
 
 class TestIdxDatasetEndToEnd:
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        """A bad idx file must stop the run before its first phase trains."""
+
+        def first_phase(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("bdrlab.cli.first_phase", first_phase)
+
     @staticmethod
     def _write_idx_config(tmp_path, classes=4, n=160, side=4, counts=None):
         counts = counts or [n // classes] * classes  # samples per label
@@ -549,7 +561,7 @@ seeds = 0
         body = read_report(out / "ce_0.json")["body"]
         assert len(body["phases"]) == 2
 
-    def test_class_count_the_protocol_cannot_split_is_a_config_error(self, tmp_path, capsys):
+    def test_class_count_the_protocol_cannot_split_is_a_config_error(self, tmp_path, capsys, no_training):
         # 5 classes cannot be dealt as 2 then blocks of 2; known only once the file is read
         config_path, _ = self._write_idx_config(tmp_path, classes=5, n=150)
         out = tmp_path / "out"
@@ -558,22 +570,24 @@ seeds = 0
         assert "config error" in err and "[protocol]" in err and "cannot split 5 classes" in err
         assert not out.exists()
 
-    def test_global_budget_below_the_file_classes_is_a_config_error(self, tmp_path, capsys):
-        # 4 classes share a global budget of 3; known only once the file is read
+    def test_global_budget_below_the_file_classes_is_a_config_error(self, tmp_path, capsys, no_training):
+        # 4 classes share a global budget of 3; known only once the file is read.
+        # A --jobs worker process inherits the patched first_phase.
         config_path, _ = self._write_idx_config(tmp_path)
         config_path.write_text(config_path.read_text().replace("budget = 2", "mode = global\nbudget = 3"))
-        out = tmp_path / "out"
-        assert main(["run", str(config_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bad value for 'budget' in [memory]")
-        assert not out.exists()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            assert main(["run", str(config_path), "--out", str(out), "--jobs", jobs]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: bad value for 'budget' in [memory]")
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "counts, named",
         [([40, 40, 40, 0, 40, 40], "class 3 has 0 sample(s)"), ([40, 40, 1, 40], "class 2 has 1 sample(s)")],
         ids=["skipped_label", "single_sample_class"],
     )
-    def test_class_without_a_test_sample_is_a_data_error(self, tmp_path, capsys, counts, named):
+    def test_class_without_a_test_sample_is_a_data_error(self, tmp_path, capsys, no_training, counts, named):
         # each class holds one sample out for testing, so it needs two
         config_path, _ = self._write_idx_config(tmp_path, counts=counts)
         out = tmp_path / "out"

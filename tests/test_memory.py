@@ -4,7 +4,6 @@ import pytest
 from bdrlab.data import LabeledSet, make_gaussian_mixture
 from bdrlab.memory import (
     ExemplarMemory,
-    MemoryConfigError,
     herding_select,
     merged_training_set,
 )
@@ -121,14 +120,6 @@ class TestExemplarMemory:
         for c in (0, 1):
             assert len(memory.index_map()[c]) == 1
             np.testing.assert_array_equal(_rows(memory, c), before[c][:1])
-
-    def test_quota_zero_after_trim_rejected(self):
-        memory = ExemplarMemory(mode="global", budget=2, selection="herding", seed=0)
-        first = _set_of(np.arange(4)[:, None], np.repeat([0, 1], 2), 2)
-        memory.update(first, IDENTITY)
-        second = _set_of(np.arange(4)[:, None], np.repeat([2, 3], 2), 4)
-        with pytest.raises(MemoryConfigError):
-            memory.update(second, IDENTITY)
 
     def test_herding_quota_one_stores_nearest_to_mean(self):
         memory = ExemplarMemory(mode="per_class", budget=1, selection="herding", seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bdrlab.balance import ce_with_offset, log_softmax
+from bdrlab.config import ExperimentConfig
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
 from bdrlab.diagnostics import cauchy_gap
 from bdrlab.memory import merged_training_set
@@ -15,7 +16,6 @@ from bdrlab.training import (
     LOSS_VARIANTS,
     Classifier,
     DivergenceError,
-    TrainConfig,
     _contribution_sums,
     _flatten,
     _old_phase_curvature,
@@ -32,7 +32,7 @@ from bdrlab.verification import finite_diff_check, frozen_mask_forward, frozen_m
 def small_config(**overrides):
     base = dict(epochs=4, batch_size=16, lr=0.05, seed=0, hidden=(16, 16), memory_budget=3)
     base.update(overrides)
-    return TrainConfig(**base)
+    return ExperimentConfig(**base)
 
 
 def full_run(stream, config, variant="ce"):
@@ -179,7 +179,7 @@ class TestKernelAgainstTape:
         model = Classifier(6, (9, 7), self.K, rng_for(1, INIT, 0))
         x = rng.standard_normal((23, 6))
         y = rng.permutation(np.arange(23) % self.K)
-        loss_fn, _ = _phase_loss(variant, model, LabeledSet(x, y, self.K), TrainConfig())
+        loss_fn, _ = _phase_loss(variant, model, LabeledSet(x, y, self.K), ExperimentConfig())
         teacher_logits = rng.standard_normal((23, self.OLD))
         return model, x, y, loss_fn, teacher_logits
 
@@ -315,7 +315,7 @@ class TestTrainPhase:
         # bdr's balance update meets the blown-up features first: its
         # non-finite variance must end as the same typed divergence
         data = make_gaussian_mixture(2, 20, 6, 3.0, seed=4)
-        config = TrainConfig(epochs=6, batch_size=8, hidden=(16,), lr=1e8)
+        config = ExperimentConfig(epochs=6, batch_size=8, hidden=(16,), lr=1e8)
         model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
         with pytest.raises(DivergenceError, match="phase 1, step"):
             train_phase(model, data, config, 1, old_classes=1, variant=variant)
@@ -687,11 +687,11 @@ class TestOldPhaseCurvature:
 class TestTrainConfigValidation:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr=0.0)
+            ExperimentConfig(lr=0.0)
 
     def test_bad_momentum_range(self):
         with pytest.raises(ValueError):
-            TrainConfig(m=1.5)
+            ExperimentConfig(m=1.5)
 
     @pytest.mark.parametrize(
         "change",
@@ -720,9 +720,9 @@ class TestTrainConfigValidation:
     )
     def test_bad_setting_names_its_field(self, change):
         with pytest.raises(ValueError, match=next(iter(change))):
-            TrainConfig(**change)
+            ExperimentConfig(**change)
 
     @pytest.mark.parametrize("momentum", [-0.1, 1.0, 5.0])
     def test_sgd_momentum_outside_unit_interval(self, momentum):
         with pytest.raises(ValueError, match="momentum"):
-            TrainConfig(sgd_momentum=momentum)
+            ExperimentConfig(sgd_momentum=momentum)
