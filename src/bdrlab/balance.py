@@ -83,7 +83,7 @@ def ce_with_offset(logits, offsets, labels):
     grad = np.exp(logp)
     grad[rows, y] -= 1.0
     grad *= 1.0 / n
-    return float(-logp[rows, y].mean()), grad
+    return -float(logp[rows, y].sum() / n), grad  # the mean, without np.mean's call overhead
 
 
 def class_priors(counts):

@@ -194,8 +194,8 @@ def _cmd_verify(args):
 
 
 def _as_trained(cfg: ExperimentConfig):
-    """``cfg`` with B set to the size of its first phase, S when B is 0 or
-    below. The size does not depend on the class count: an idx config,
+    """``cfg`` with B set to the size of its first phase, S when B is 0.
+    The size does not depend on the class count: an idx config,
     whose file is not read here, uses ``classes`` as a stand-in and stays as
     it is when that does not split."""
     try:

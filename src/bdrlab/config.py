@@ -78,6 +78,8 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size", "memory_budget"):
             value = getattr(self, name)
             checks.append((name, value >= 1, f"{name} must be at least 1, got {value}"))
+        message = f"initial_classes must be at least 0, got {self.initial_classes}"
+        checks.append(("initial_classes", self.initial_classes >= 0, message))
         for name in ("m", "m_prime", "beta"):
             value = getattr(self, name)
             checks.append((name, 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value}"))

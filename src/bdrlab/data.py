@@ -174,7 +174,7 @@ def load_idx(images_path, labels_path):
 def phase_sizes(total, initial_classes, increment):
     """Classes per phase: B (S when B = 0), then blocks of S that must use up
     all ``total`` classes exactly."""
-    first = initial_classes if initial_classes > 0 else increment
+    first = increment if initial_classes == 0 else initial_classes
     if first < 1 or increment < 1 or first > total or (total - first) % increment != 0:
         raise ProtocolError(
             f"cannot split {total} classes with initial block {initial_classes} and increment {increment}"

@@ -55,9 +55,11 @@ def read_report(path):
 
 
 def _csv_text(columns, rows):
+    """CSV text. A float cell is written with ``float.__repr__``, so a
+    numpy float64 reads as the Python float it equals, not ``np.float64(...)``."""
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(float.__repr__(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -9,14 +9,18 @@ old-class contribution sums, which feeds the destruction diagnostics. The
 step trace is the run's only per-step record: the report entry of a phase
 holds per-phase summaries of it.
 
-The classifier runs its own numpy forward and backward pass over plain
-float64 arrays. Every loss head is closed-form: it returns the loss and its
+The classifier runs its own numpy forward and backward pass. Its float64
+parameters live in one flat vector, each layer's weight and bias a view of
+it, so backward writes the gradient into one flat buffer that a phase
+reuses across its steps and the SGD update is three whole-vector
+operations. Every loss head is closed-form: it returns the loss and its
 gradient at the logits, which goes straight into ``Classifier.backward``.
 A step is one forward pass plus one backward pass: backward is linear, so
 the consolidation term's logit gradient is added to the classification
 one and the sum goes through ``Classifier.backward`` once. The frozen
-teacher's logits are computed once per phase, in ``batch_size`` chunks of
-the training set, and each step reads its rows. The step record describes
+teacher's logits, and the tempered softmax targets taken from them, are
+computed once per phase, in ``batch_size`` chunks of the training set, and
+each step reads its rows. The step record describes
 the update gradient, classification plus weighted consolidation, and its
 new/old split comes from that same backward pass: a weight's gradient is a
 sum of per-row outer products of layer input and row delta, so summing
@@ -84,27 +88,50 @@ class Activations(NamedTuple):
 
 
 class Classifier:
-    """ReLU stack over the inputs plus a linear head that grows with the classes."""
+    """ReLU stack over the inputs plus a linear head that grows with the classes.
+
+    The parameters live in one float64 vector, ``flat``, in ``params()``
+    order: each hidden layer's weight then its bias, the head's last. Every
+    parameter array is a view of it, so an update of ``flat`` moves them
+    all; a writer assigns into a view (``head_w[...] = ...``) rather than
+    rebinding it.
+    """
 
     def __init__(self, in_dim, hidden_sizes, n_classes, rng):
-        self.layers = []
+        parts = []
         fan_in = in_dim
         for width in hidden_sizes:
-            self.layers.append((rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)), np.zeros(width)))
+            parts += (rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)), np.zeros(width))
             fan_in = width
-        self.head_w = rng.normal(0.0, HEAD_INIT_SCALE, (fan_in, n_classes))
-        self.head_b = np.zeros(n_classes)
+        parts += (rng.normal(0.0, HEAD_INIT_SCALE, (fan_in, n_classes)), np.zeros(n_classes))
+        self._bind(np.concatenate([p.ravel() for p in parts]), [p.shape for p in parts])
+
+    def _bind(self, flat, shapes):
+        """Make ``flat`` the parameter vector, cut into arrays of ``shapes``."""
+        self.flat = flat
+        self._shapes = shapes
+        stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self._cuts = list(zip([0] + stops, stops, shapes))
+        params = self.views(flat)
+        self.layers = list(zip(params[:-2:2], params[1:-2:2]))
+        self.head_w, self.head_b = params[-2:]
 
     @property
     def n_classes(self):
         return self.head_w.shape[1]
 
     def params(self):
+        """The arrays the passes read, in ``flat``'s order."""
         out = []
         for w, b in self.layers:
             out.extend((w, b))
         out.extend((self.head_w, self.head_b))
         return out
+
+    def views(self, vec):
+        """``vec``, a vector laid out as ``flat``, as one view per parameter
+        in ``params()`` order."""
+        return [vec[start:stop].reshape(shape) for start, stop, shape in self._cuts]
 
     def forward(self, x):
         """Numpy forward pass over a batch of rows, kept for ``backward``.
@@ -124,24 +151,26 @@ class Classifier:
         inputs.append(h)
         return Activations(inputs, masks, h @ self.head_w + self.head_b)
 
-    def backward(self, acts, dlogits):
-        """Gradients of a loss whose gradient at the logits is ``dlogits``.
+    def backward(self, acts, dlogits, out):
+        """Gradients of a loss whose gradient at the logits is ``dlogits``,
+        written into ``out``, a vector laid out as ``flat``.
 
-        Returns the parameter gradients in ``params()`` order and, per layer
-        (head last), the row deltas: the loss gradient at that layer's
-        pre-activation, one row per sample. The numpy operations and their
-        order are those of the reference tape in ``tensor``, so the
-        gradients equal its bit for bit.
+        Returns, per layer (head last), the row deltas: the loss gradient at
+        that layer's pre-activation, one row per sample. The numpy
+        operations and their order are those of the reference tape in
+        ``tensor``, so the gradients equal its bit for bit.
         """
         weights = [w for w, _ in self.layers] + [self.head_w]
-        grads, deltas = [], []
+        grads = self.views(out)
+        deltas = []
         g = dlogits
         for i in reversed(range(len(weights))):
             deltas.append(g)
-            grads += (g.sum(axis=0), acts.inputs[i].T @ g)
+            g.sum(axis=0, out=grads[2 * i + 1])
+            np.matmul(acts.inputs[i].T, g, out=grads[2 * i])
             if i > 0:
                 g = (g @ weights[i].T) * acts.masks[i - 1]
-        return grads[::-1], deltas[::-1]
+        return deltas[::-1]
 
     def predict(self, x):
         """Top-1 classes; a non-finite logit raises ``FloatingPointError``."""
@@ -150,37 +179,54 @@ class Classifier:
     def copy(self):
         return copy.deepcopy(self)
 
+    def __getstate__(self):  # a copy or a pickle rebuilds the views over its own vector
+        return self.flat, self._shapes
+
+    def __setstate__(self, state):
+        self._bind(*state)
+
     def expand_head(self, extra_classes, rng):
         """Append columns for new classes; existing rows stay bit-identical."""
         if extra_classes < 1:
             raise ValueError(f"head must grow by at least one class, got {extra_classes}")
         new_w = rng.normal(0.0, HEAD_INIT_SCALE, (self.head_w.shape[0], extra_classes))
-        self.head_w = np.concatenate([self.head_w, new_w], axis=1)
-        self.head_b = np.concatenate([self.head_b, np.zeros(extra_classes)])
+        head = (np.concatenate([self.head_w, new_w], axis=1), np.concatenate([self.head_b, np.zeros(extra_classes)]))
+        body = self.flat[: self.flat.size - self.head_w.size - self.head_b.size]
+        self._bind(np.concatenate([body, *(p.ravel() for p in head)]), self._shapes[:-2] + [p.shape for p in head])
         return self
 
 
 class SGD:
-    """Plain momentum SGD over a fixed parameter list."""
+    """Plain momentum SGD over a flat parameter vector, updated in place."""
 
     def __init__(self, params, lr, momentum=0.0):
-        self.params = list(params)
+        self.params = params
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p) for p in self.params]
+        self._velocity = np.zeros_like(params)
 
-    def step(self, grads):
-        """Apply one update from the gradients, given in parameter order."""
-        for p, v, g in zip(self.params, self._velocity, grads):
-            v *= self.momentum
-            v += g
-            p -= self.lr * v
+    def step(self, grad):
+        """Apply one update from the gradient, laid out as the parameters."""
+        v = self._velocity
+        v *= self.momentum
+        v += grad
+        self.params -= self.lr * v
 
 
-def distill_loss(logits, teacher_logits, old_classes, temperature, weight):
-    """Temperature-softened divergence of the first ``old_classes`` logits
-    from the teacher's, scaled by temperature^2; exactly zero when the
-    logits coincide.
+def teacher_targets(teacher_logits, temperature):
+    """The targets of ``distill_loss``: the teacher's temperature-softened
+    log-softmax and its probabilities. Each row's values depend on that row
+    alone, so a phase takes them once over its training set and each step
+    indexes its rows."""
+    logp = log_softmax(np.asarray(teacher_logits, dtype=np.float64) * (1.0 / float(temperature)))
+    return logp, np.exp(logp)
+
+
+def distill_loss(logits, targets, temperature, weight):
+    """Temperature-softened divergence of the first old-class logits from
+    the teacher's, scaled by temperature^2; exactly zero when the logits
+    coincide. ``targets`` is ``teacher_targets`` of the teacher's logits on
+    the batch, one column per old class.
 
     Returns ``(loss, dlogits)``: the loss is unweighted, as the trace
     records it, and ``dlogits`` is the gradient of ``weight`` times the loss
@@ -188,19 +234,18 @@ def distill_loss(logits, teacher_logits, old_classes, temperature, weight):
     batch size on the old columns and zero on the new ones.
     """
     z = np.asarray(logits, dtype=np.float64)
+    target_logp, target = targets
+    old_classes = target.shape[1]
     student = z[:, :old_classes]
-    t = np.asarray(teacher_logits, dtype=np.float64)
-    if t.shape != student.shape:
-        raise ValueError(f"old-class slices differ: student {student.shape} vs teacher {t.shape}")
+    if target.shape != student.shape:
+        raise ValueError(f"old-class slices differ: student {student.shape} vs teacher {target.shape}")
     inv = 1.0 / float(temperature)
-    target_logp = log_softmax(t * inv)
-    target = np.exp(target_logp)
     logp = log_softmax(checked_logits(student * inv))
     kl = (target * (target_logp - logp)).sum(axis=1)
     sq = temperature * temperature
     grad = np.zeros_like(z)
-    grad[:, :old_classes] += ((np.exp(logp) - target) * ((weight * sq) / t.shape[0])) * inv
-    return float(kl.mean()) * sq, grad
+    grad[:, :old_classes] += ((np.exp(logp) - target) * ((weight * sq) / target.shape[0])) * inv
+    return float(kl.sum() / kl.size) * sq, grad  # the mean, without np.mean's call overhead
 
 
 @dataclass
@@ -224,10 +269,6 @@ class StepTrace:
 
     def column(self, name):
         return np.asarray([getattr(r, name) for r in self.rows])
-
-
-def _flatten(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
 
 
 def _phase_loss(variant, model, data: LabeledSet, config):
@@ -260,39 +301,44 @@ def _phase_loss(variant, model, data: LabeledSet, config):
     def track(phase, step, acts, y):
         omega = balance.momentum_update(stats, schedule, getattr(acts, source), y)
         psi, pi_hat = schedule.priors, schedule.pi_hat
-        return [(phase, step, c, float(psi[c]), float(omega[c]), float(pi_hat[c])) for c in range(k)]
+        return [(phase, step, c, *row) for c, row in enumerate(zip(psi.tolist(), omega.tolist(), pi_hat.tolist()))]
 
     return (lambda logits, y: balance.bdr_loss(logits, y, schedule)), track
 
 
-def _contribution_sums(flat, acts, deltas, new_rows):
+def _contribution_sums(model, grad, acts, deltas, new_rows, out):
     """Summed per-sample gradients of the step's loss, split into the batch's
-    new-class rows and old-class rows.
+    new-class rows and old-class rows, written into the two rows of ``out``
+    and returned as ``(new, old)``.
 
-    ``flat`` is the loss's batch gradient flattened in ``params()`` order,
-    and ``deltas`` the row deltas of the same backward pass
+    ``grad`` is the loss's batch gradient, laid out as ``model.flat``, and
+    ``deltas`` the row deltas of the same backward pass
     (``Classifier.backward``). The loss is a batch mean, so each sum is the
-    batch size times its rows' share of ``flat``. The smaller row group is
+    batch size times its rows' share of ``grad``. The smaller row group is
     summed directly, from its rows' outer products; the other group is the
-    remainder, ``scale * flat`` minus that sum, so only its rounding differs
+    remainder, ``scale * grad`` minus that sum, so only its rounding differs
     from a direct sum.
     """
     scale = float(new_rows.size)
     n_new = int(np.count_nonzero(new_rows))
-    if n_new == new_rows.size:
-        return scale * flat, np.zeros_like(flat)
-    if n_new == 0:
-        return np.zeros_like(flat), scale * flat
+    new, old = out
+    if n_new in (0, new_rows.size):
+        whole, empty = (new, old) if n_new else (old, new)
+        np.multiply(grad, scale, out=whole)
+        empty.fill(0.0)
+        return new, old
     new_is_direct = 2 * n_new <= new_rows.size
     rows = new_rows if new_is_direct else ~new_rows
-    parts = []
-    for h, d in zip(acts.inputs, deltas):
+    direct, rest = (new, old) if new_is_direct else (old, new)
+    parts = model.views(direct)
+    for i, (h, d) in enumerate(zip(acts.inputs, deltas)):
         d = d[rows]
-        parts += (h[rows].T @ d, d.sum(axis=0))
-    direct = scale * _flatten(parts)
-    rest = scale * flat
+        np.matmul(h[rows].T, d, out=parts[2 * i])
+        d.sum(axis=0, out=parts[2 * i + 1])
+    direct *= scale
+    np.multiply(grad, scale, out=rest)
     rest -= direct
-    return (direct, rest) if new_is_direct else (rest, direct)
+    return new, old
 
 
 def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_classes=0, variant=LOSS_CE):
@@ -304,9 +350,10 @@ def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_
     starts (``_phase_loss``). ``loss_old`` is the consolidation term against
     ``teacher`` when one is given and ``distill_weight`` is positive. The
     teacher is frozen and the set fixed, so its logits are computed once, in
-    ``batch_size`` chunks in training-set order, and each step reads its
-    rows; a row's BLAS result can depend on the rows sharing its matmul, so
-    these logits may differ from per-batch ones at rounding level. Otherwise ``loss_old`` is the
+    ``batch_size`` chunks in training-set order, and with them its tempered
+    targets (``teacher_targets``, row by row); each step reads its rows. A
+    row's BLAS result can depend on the rows sharing its matmul, so these
+    logits may differ from per-batch ones at rounding level. Otherwise ``loss_old`` is the
     plain cross-entropy, at each step, of the set's old-class rows: in a run
     these are the replayed exemplars, which ``merged_training_set`` puts
     first. That cross-entropy takes no part in the update.
@@ -323,13 +370,16 @@ def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_
     old_loss = None  # (logits, batch rows) -> (loss_old, its dlogits or None)
     replayed = labels < old_classes
     if teacher is not None and config.distill_weight > 0 and old_classes > 0:
-        teacher_logits = np.concatenate(
-            [teacher.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
+        target_logp, target = teacher_targets(
+            np.concatenate(
+                [teacher.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
+            ),
+            config.distill_temperature,
         )
 
         def old_loss(logits, idx):
             return distill_loss(
-                logits, teacher_logits[idx], old_classes, config.distill_temperature, config.distill_weight
+                logits, (target_logp[idx], target[idx]), config.distill_temperature, config.distill_weight
             )
 
     elif replayed.any():
@@ -338,7 +388,9 @@ def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_
         def old_loss(logits, idx):
             return ce_with_offset(model.forward(replay_x).logits, zero, replay_y)[0], None
 
-    optimizer = SGD(model.params(), config.lr, config.sgd_momentum)
+    optimizer = SGD(model.flat, config.lr, config.sgd_momentum)
+    grad = np.empty_like(model.flat)  # each step's gradient and its new/old split, reused by every step
+    split = np.empty((2, grad.size))
     rng = rng_for(config.seed, BATCH, phase_index)
     trace = StepTrace()
     decay_from = math.ceil(config.epochs * LR_DECAY_POINT)
@@ -367,25 +419,24 @@ def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_
 
                 if old_dlogits is not None:  # backward is linear: one pass for the summed loss
                     dlogits = dlogits + old_dlogits
-                grads, deltas = model.backward(acts, dlogits)
-                flat = _flatten(grads)
-                grad_new, grad_old = _contribution_sums(flat, acts, deltas, y >= old_classes)
+                deltas = model.backward(acts, dlogits, grad)
+                grad_new, grad_old = _contribution_sums(model, grad, acts, deltas, y >= old_classes, split)
                 record = StepRecord(
                     phase=phase_index,
                     epoch=epoch,
                     step=step,
                     loss_new=loss_new,
                     loss_old=loss_old,
-                    grad_new_norm=float(np.linalg.norm(grad_new)),
-                    grad_old_norm=float(np.linalg.norm(grad_old)),
-                    grad_total_sq=float(np.dot(flat, flat)),
+                    grad_new_norm=math.sqrt(np.dot(grad_new, grad_new)),  # np.linalg.norm's own formula
+                    grad_old_norm=math.sqrt(np.dot(grad_old, grad_old)),
+                    grad_total_sq=float(np.dot(grad, grad)),
                     contrib_inner=float(np.dot(grad_new, grad_old)),
                     batch_size=int(idx.size),
                 )
                 gradient = (record.grad_new_norm, record.grad_old_norm, record.grad_total_sq, record.contrib_inner)
                 if not all(map(math.isfinite, gradient)):
                     raise DivergenceError(f"non-finite gradient at phase {phase_index}, step {step}")
-                optimizer.step(grads)
+                optimizer.step(grad)
                 trace.rows.append(record)
                 step += 1
             if not live:
@@ -396,45 +447,66 @@ def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_
 
 
 def _old_phase_hvp(model, old_sets):
-    """Exact Hessian-vector products, over flat vectors in ``params()`` order,
+    """Exact Hessian-vector products, over vectors laid out as ``model.flat``,
     of the summed old-phase mean cross-entropies at the model's parameters,
     which are only read. Pearlmutter's R-operator (1994): each product is one
     R-forward and one R-backward pass over a forward and backward pass per
     phase cached here. ReLU'' = 0 almost everywhere, so the masks enter as
     constants, and R(input) = 0 drops the first layer's two products with it.
+
+    The passes write into one workspace, allocated here and sized to the
+    largest old phase, which each phase uses through its first rows; so a
+    product allocates only the vector it returns, which the caller may keep.
     """
     weights = [w for w, _ in model.layers] + [model.head_w]
-    params = model.params()
-    splits = np.cumsum([p.size for p in params])[:-1]
+    grad = np.empty_like(model.flat)  # the cached passes' gradients are not read
     cache = []
     for phase_set in old_sets:
         acts = model.forward(phase_set.features)
         _, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), phase_set.labels)
-        _, deltas = model.backward(acts, dlogits)
+        deltas = model.backward(acts, dlogits, grad)
         probs = np.exp(log_softmax(acts.logits))
         # the products never read the first layer's delta or the logits
         cache.append((acts.inputs, acts.masks, deltas[1:], probs, 1.0 / phase_set.n))
+    rows = max(s.n for s in old_sets)
+    # per layer: R of its pre-activation, masked in place into R of the next
+    # layer's input; R of the loss gradient there; and a product term
+    r_a, r_g, term = ([np.empty((rows, w.shape[1])) for w in weights] for _ in range(3))
+    w_term = [np.empty_like(w) for w in weights]
+    b_term = [np.empty(w.shape[1]) for w in weights]
+    row_sum = np.empty((rows, 1))
 
     def hvp(vec):
         out = np.zeros_like(vec)
-        hv = [part.reshape(p.shape) for part, p in zip(np.split(out, splits), params)]
-        dirs = [part.reshape(p.shape) for part, p in zip(np.split(vec, splits), params)]
+        hv, dirs = model.views(out), model.views(vec)
         for inputs, masks, deltas, probs, scale in cache:
-            r_in = [None]  # R of each layer's input
+            n = probs.shape[0]
             for i, w in enumerate(weights):
-                r_a = inputs[i] @ dirs[2 * i] + dirs[2 * i + 1]
+                a = r_a[i][:n]
+                np.matmul(inputs[i], dirs[2 * i], out=a)
+                a += dirs[2 * i + 1]
                 if i > 0:
-                    r_a += r_in[i] @ w
+                    np.matmul(r_a[i - 1][:n], w, out=term[i][:n])
+                    a += term[i][:n]
                 if i < len(masks):
-                    r_in.append(r_a * masks[i])
+                    a *= masks[i]
             # R of the logit gradient (p - onehot) / n: the softmax Jacobian times R(z)
-            r_g = (probs * (r_a - (probs * r_a).sum(axis=1, keepdims=True))) * scale
+            g = r_g[-1][:n]
+            np.multiply(probs, a, out=g)
+            np.sum(g, axis=1, keepdims=True, out=row_sum[:n])
+            np.subtract(a, row_sum[:n], out=g)
+            g *= probs
+            g *= scale
             for i in reversed(range(len(weights))):
-                hv[2 * i] += inputs[i].T @ r_g
-                hv[2 * i + 1] += r_g.sum(axis=0)
+                g = r_g[i][:n]
+                hv[2 * i] += np.matmul(inputs[i].T, g, out=w_term[i])
+                hv[2 * i + 1] += np.sum(g, axis=0, out=b_term[i])
                 if i > 0:
-                    hv[2 * i] += r_in[i].T @ deltas[i - 1]
-                    r_g = (r_g @ weights[i].T + deltas[i - 1] @ dirs[2 * i].T) * masks[i - 1]
+                    hv[2 * i] += np.matmul(r_a[i - 1][:n].T, deltas[i - 1], out=w_term[i])
+                    below = r_g[i - 1][:n]
+                    np.matmul(g, weights[i].T, out=below)
+                    below += np.matmul(deltas[i - 1], dirs[2 * i].T, out=term[i - 1][:n])
+                    below *= masks[i - 1]
         return out
 
     return hvp
@@ -443,7 +515,7 @@ def _old_phase_hvp(model, old_sets):
 def _old_phase_curvature(model, old_sets, seed=0):
     """Top eigenvalue of the summed old-phase Hessians at the model's
     parameters: Lanczos on exact Hessian-vector products, as a ``TopEigen``."""
-    return hessian_top_eigen(_old_phase_hvp(model, old_sets), _flatten(model.params()).size, seed=seed)
+    return hessian_top_eigen(_old_phase_hvp(model, old_sets), model.flat.size, seed=seed)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from . import balance
 from .balance import ce_with_offset
 from .data import LabeledSet
 from .diagnostics import cauchy_gap, f_max, hessian_top_eigen, peak_bound
-from .training import Activations, Classifier, _flatten, _old_phase_hvp, distill_loss
+from .training import Activations, Classifier, _old_phase_hvp, distill_loss, teacher_targets
 
 
 @dataclass
@@ -64,13 +64,6 @@ def finite_diff_check(f, x, step=1e-5):
     return float((np.abs(analytic - numeric) / scale).max())
 
 
-def _set_flat_params(model, vec):
-    offset = 0
-    for p in model.params():
-        p[...] = vec[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
-
-
 def frozen_mask_forward(model, x, masks):
     """``Classifier.forward`` with the hidden ReLU masks fixed to ``masks``.
     A fixed mask can hide a negative pre-activation, so the ReLU is
@@ -90,11 +83,12 @@ def _net_loss(model, x, labels, masks=None):
     ReLU masks."""
 
     def f(theta):
-        _set_flat_params(model, theta)
+        model.flat[...] = theta
         acts = model.forward(x) if masks is None else frozen_mask_forward(model, x, masks)
         value, dlogits = ce_with_offset(acts.logits, np.zeros(model.n_classes), labels)
-        grads, _ = model.backward(acts, dlogits)
-        return value, _flatten(grads)
+        grad = np.empty_like(theta)
+        model.backward(acts, dlogits, grad)
+        return value, grad
 
     return f
 
@@ -116,10 +110,9 @@ def check_gradient_oracle(instances=100, seed=0, tol=1e-5):
         teacher = rng.standard_normal((b, old))
         temperature, weight = rng.uniform(0.5, 4.0), rng.uniform(0.1, 2.0)
         net = Classifier(d, rng.integers(2, 6, 2), k, rng)
-        theta = _flatten(net.params())
 
         def distill(x):
-            value, grad = distill_loss(x, teacher, old, temperature, weight)
+            value, grad = distill_loss(x, teacher_targets(teacher, temperature), temperature, weight)
             return weight * value, grad
 
         checks = [
@@ -127,7 +120,7 @@ def check_gradient_oracle(instances=100, seed=0, tol=1e-5):
             (rng.standard_normal((b, k)), lambda x: balance.bdr_loss(x, labels, schedule)),
             (rng.standard_normal((b, k)), distill),
             # jittered so no bias is zero: a zero bias behind dead units sits on a kink
-            (theta + rng.normal(0.0, 0.1, theta.size), _net_loss(net, rng.standard_normal((b, d)), labels)),
+            (net.flat + rng.normal(0.0, 0.1, net.flat.size), _net_loss(net, rng.standard_normal((b, d)), labels)),
         ]
         for value, fn in checks:
             worst = max(worst, finite_diff_check(fn, value))
@@ -348,7 +341,7 @@ def kinked_relu_problem(seed=8):
     which puts one row on every unit's kink."""
     rng = np.random.default_rng(seed)
     net = Classifier(4, (12, 12), 3, rng)
-    net.head_w = rng.normal(0.0, 1.0, net.head_w.shape)
+    net.head_w[...] = rng.normal(0.0, 1.0, net.head_w.shape)
     sets = [LabeledSet(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3) for n in (25, 24)]
     h = np.concatenate([s.features for s in sets])
     for w, b in net.layers:
@@ -361,7 +354,7 @@ def frozen_mask_hessian(model, old_sets, step=1e-5):
     """Dense Hessian of the summed old-phase cross-entropies by central
     differences of the closed-form gradient, with every ReLU mask frozen at
     the model's parameters, so no difference crosses a kink."""
-    probe, theta = model.copy(), _flatten(model.params())
+    probe, theta = model.copy(), model.flat
     losses = [_net_loss(probe, s.features, s.labels, model.forward(s.features).masks) for s in old_sets]
     grad = lambda vec: sum(loss(vec)[1] for loss in losses)
     return np.stack([(grad(theta + step * e) - grad(theta - step * e)) / (2.0 * step) for e in np.eye(theta.size)], 1)

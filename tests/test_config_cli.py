@@ -14,7 +14,7 @@ import pytest
 import bdrlab
 from bdrlab.cli import build_stream, main
 from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config
-from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, body_hash, read_report
+from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, _csv_text, body_hash, read_report
 from bdrlab.training import StepRecord, first_phase, run_experiment
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
@@ -309,6 +309,10 @@ class TestCmdRun:
         incremental = {(int(row[0]), int(row[2])) for row in steps if int(row[0]) >= 1}
         assert {(phase, step) for phase, step, _ in keys} == incremental
 
+    def test_csv_cells_of_numpy_scalars_read_as_python_numbers(self):
+        rows = [[np.float64(0.5), np.int64(3), 0.1, np.float64(-1e-300), 7]]
+        assert _csv_text(("a", "b", "c", "d", "e"), rows) == "a,b,c,d,e\n0.5,3,0.1,-1e-300,7\n"
+
     def test_step_csv_schema(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(SMALL_CONFIG)
@@ -378,6 +382,7 @@ class TestConfigErrorsAtParseTime:
                 {"classes = 4": "classes = 8", "initial_classes = 2": "initial_classes = 4", "increment = 2": "increment = 3"},
                 "'increment'",
             ),
+            ({"initial_classes = 2": "initial_classes = -3"}, "'initial_classes' in [protocol]"),
             ({"seeds = 0": "seeds = -1"}, "'seeds' in [run]"),
             ({"seeds = 0": "seeds = 0, 1, 0"}, "'seeds' in [run]"),
             ({"variants = ce, bdr": "variants = ce, ce"}, "'variants' in [run]"),
@@ -400,6 +405,7 @@ class TestConfigErrorsAtParseTime:
             "negative_lr",
             "momentum_above_one",
             "indivisible_increment",
+            "negative_initial_classes",
             "negative_seed",
             "duplicate_seed",
             "duplicate_variant",

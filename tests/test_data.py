@@ -10,6 +10,7 @@ from bdrlab.data import (
     load_idx,
     make_gaussian_mixture,
     make_rings,
+    phase_sizes,
     split_phases,
 )
 from bdrlab.balance import ce_with_offset
@@ -153,6 +154,11 @@ class TestSplitPhases:
         data = make_gaussian_mixture(8, 30, 3, 4.0, seed=0)
         stream = split_phases(data, 0, 2, seed=0)
         assert [len(set(p.labels.tolist())) for p in stream.phases] == [2, 2, 2, 2]
+
+    def test_negative_initial_block_rejected(self):
+        # only B = 0 reads as "the first phase holds S"
+        with pytest.raises(ProtocolError, match="initial block -3"):
+            phase_sizes(8, -3, 2)
 
     def test_indivisible_protocol(self):
         data = make_gaussian_mixture(10, 12, 3, 4.0, seed=0)

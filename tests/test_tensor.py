@@ -3,7 +3,7 @@ import pytest
 
 from bdrlab.balance import ce_with_offset
 from bdrlab.tensor import Tensor, matmul, relu, value_and_grad
-from bdrlab.training import distill_loss
+from bdrlab.training import distill_loss, teacher_targets
 from bdrlab.verification import finite_diff_check
 
 
@@ -180,7 +180,7 @@ class TestGradientBattery:
                 (rng.standard_normal((b, d)), value_and_grad(lambda x: (matmul(x, wr) * mix).sum())),
                 (rng.standard_normal((b, k)) + 0.3, value_and_grad(lambda x: (relu(x) * mix).mean())),
                 (rng.standard_normal((b, k)), lambda x: ce_with_offset(x, offs, labels)),
-                (rng.standard_normal((b, k)), lambda x: distill_loss(x, teacher, k, 1.0, 1.0)),
+                (rng.standard_normal((b, k)), lambda x: distill_loss(x, teacher_targets(teacher, 1.0), 1.0, 1.0)),
                 (rng.standard_normal((b, k + 1)), _first_columns(lambda x: ce_with_offset(x, offs, labels), k)),
             ]
             for value, fn in cases:

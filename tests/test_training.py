@@ -1,5 +1,7 @@
 import copy
 import math
+import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,16 +16,17 @@ from bdrlab.seeding import BATCH, INIT, rng_for
 from bdrlab.tensor import Tensor, matmul, relu
 from bdrlab.training import (
     LOSS_VARIANTS,
+    SGD,
     Classifier,
     DivergenceError,
     _contribution_sums,
-    _flatten,
     _old_phase_curvature,
     _old_phase_hvp,
     _phase_loss,
     distill_loss,
     first_phase,
     run_experiment,
+    teacher_targets,
     train_phase,
 )
 from bdrlab.verification import finite_diff_check, frozen_mask_forward, frozen_mask_hessian, kinked_relu_problem
@@ -40,6 +43,21 @@ def full_run(stream, config, variant="ce"):
     return run_experiment(first_phase(stream, config), variant)
 
 
+def backward(model, acts, dlogits):
+    """``Classifier.backward`` into a fresh vector: (gradient, row deltas)."""
+    grad = np.empty_like(model.flat)
+    return grad, model.backward(acts, dlogits, grad)
+
+
+def split(model, grad, acts, deltas, new_rows):
+    """``_contribution_sums`` into a fresh pair of vectors."""
+    return _contribution_sums(model, grad, acts, deltas, new_rows, np.empty((2, grad.size)))
+
+
+def flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 class TestClassifier:
     def test_parameters_are_float64_arrays_and_copies_share_none(self):
         model = Classifier(4, (8, 6), 3, rng_for(0, INIT, 0))
@@ -47,6 +65,28 @@ class TestClassifier:
         for p, q in zip(model.params(), clone.params()):
             assert type(p) is np.ndarray and p.dtype == np.float64
             assert np.array_equal(p, q) and not np.shares_memory(p, q)
+
+    def test_parameters_are_views_of_one_flat_vector(self):
+        model = Classifier(4, (8, 6), 3, rng_for(0, INIT, 0))
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        assert all(np.shares_memory(p, model.flat) for p in model.params())
+        assert np.array_equal(flatten(model.params()), model.flat)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [Classifier.copy, copy.deepcopy, lambda model: pickle.loads(pickle.dumps(model))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_step_on_a_copy_leaves_the_original_unchanged(self, duplicate):
+        model = Classifier(4, (8, 6), 3, rng_for(0, INIT, 0))
+        before = model.flat.copy()
+        clone = duplicate(model)
+        assert not np.shares_memory(clone.flat, model.flat)
+        assert all(np.shares_memory(p, clone.flat) for p in clone.params())
+        SGD(clone.flat, 0.5).step(np.ones_like(clone.flat))
+        assert np.array_equal(model.flat, before)
+        for moved, kept in zip(clone.params(), model.params()):
+            assert np.array_equal(moved, kept - 0.5)
 
     def test_relu_equals_the_masked_select_bit_for_bit(self):
         # BLAS never yields -0.0 from ``h @ w``, so the first layer's weight is
@@ -101,6 +141,16 @@ class TestExpandHead:
         b.expand_head(4, rng_for(7, INIT, 1))
         np.testing.assert_array_equal(a.head_w[:, :2], b.head_w[:, :2])
 
+    def test_grown_head_is_a_view_that_a_step_moves(self):
+        model = Classifier(4, (8,), 2, rng_for(0, INIT, 0))
+        model.expand_head(3, rng_for(0, INIT, 1))
+        assert model.flat.size == sum(p.size for p in model.params())
+        assert all(np.shares_memory(p, model.flat) for p in model.params())
+        head_w, head_b = model.head_w.copy(), model.head_b.copy()
+        SGD(model.flat, 0.25).step(np.ones_like(model.flat))
+        assert np.array_equal(model.head_w, head_w - 0.25)
+        assert np.array_equal(model.head_b, head_b - 0.25)
+
     def test_zero_growth_rejected(self):
         model = Classifier(3, (6,), 2, rng_for(0, INIT, 0))
         with pytest.raises(ValueError):
@@ -110,7 +160,7 @@ class TestExpandHead:
 class TestDistillLoss:
     def test_identical_logits_zero(self):
         logits = np.array([[1.0, -2.0, 0.5], [0.1, 0.2, 0.3]])
-        loss, grad = distill_loss(logits, logits.copy(), 3, 2.0, 1.0)
+        loss, grad = distill_loss(logits, teacher_targets(logits, 2.0), 2.0, 1.0)
         assert loss == 0.0
         assert not grad.any()
 
@@ -119,7 +169,7 @@ class TestDistillLoss:
         # two softened distributions, whose log-ratio is exactly 1
         p = np.exp(log_softmax(np.array([[1.0, 0.0]])))[0]
         expected = p[0] * 1.0 + p[1] * -1.0
-        loss, _ = distill_loss([[0.0, 1.0]], np.array([[1.0, 0.0]]), 2, 1.0, 1.0)
+        loss, _ = distill_loss([[0.0, 1.0]], teacher_targets([[1.0, 0.0]], 1.0), 1.0, 1.0)
         assert loss == pytest.approx(expected, abs=1e-12)
         assert loss == pytest.approx(0.462, abs=1e-3)
 
@@ -128,27 +178,35 @@ class TestDistillLoss:
         rng = np.random.default_rng(2)
         student = rng.standard_normal((4, 5)) * 0.3
         teacher = student + rng.standard_normal((4, 5)) * 0.05
-        loss, _ = distill_loss(student, teacher, 5, 100.0, 1.0)
+        loss, _ = distill_loss(student, teacher_targets(teacher, 100.0), 100.0, 1.0)
         delta = teacher - student
         centered = delta - delta.mean(axis=1, keepdims=True)
         series = float((centered**2).sum(axis=1).mean()) / (2 * 5)
         assert loss == pytest.approx(series, rel=1e-2)
 
+    def test_targets_of_a_row_do_not_depend_on_the_other_rows(self):
+        # a phase takes the targets once and each step indexes its rows
+        rng = np.random.default_rng(5)
+        logits = rng.standard_normal((50, 9)) * 3.0
+        idx = rng.permutation(50)[:13]
+        for batch, whole in zip(teacher_targets(logits[idx], 2.0), teacher_targets(logits, 2.0)):
+            assert np.array_equal(batch, whole[idx])
+
     def test_slice_mismatch(self):
         with pytest.raises(ValueError, match="slices"):
-            distill_loss(np.zeros((2, 3)), np.zeros((2, 4)), 3, 2.0, 1.0)
+            distill_loss(np.zeros((2, 3)), teacher_targets(np.zeros((2, 4)), 2.0), 2.0, 1.0)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(3)
-        teacher = rng.standard_normal((3, 4))
-        err = finite_diff_check(lambda x: distill_loss(x, teacher, 4, 2.0, 1.0), rng.standard_normal((3, 4)))
+        targets = teacher_targets(rng.standard_normal((3, 4)), 2.0)
+        err = finite_diff_check(lambda x: distill_loss(x, targets, 2.0, 1.0), rng.standard_normal((3, 4)))
         assert err < 1e-5
 
     def test_gradient_is_weighted_and_zero_on_new_columns(self):
         rng = np.random.default_rng(4)
-        logits, teacher = rng.standard_normal((3, 5)), rng.standard_normal((3, 2))
-        loss, grad = distill_loss(logits, teacher, 2, 2.0, 1.0)
-        weighted_loss, weighted_grad = distill_loss(logits, teacher, 2, 2.0, 0.25)
+        logits, targets = rng.standard_normal((3, 5)), teacher_targets(rng.standard_normal((3, 2)), 2.0)
+        loss, grad = distill_loss(logits, targets, 2.0, 1.0)
+        weighted_loss, weighted_grad = distill_loss(logits, targets, 2.0, 0.25)
         assert weighted_loss == loss
         np.testing.assert_allclose(weighted_grad, 0.25 * grad, rtol=1e-15)
         assert not grad[:, 2:].any()
@@ -191,7 +249,7 @@ class TestKernelAgainstTape:
         acts = model.forward(x)
         _, dlogits = loss_fn(acts.logits, y)
         if distill:  # the loss terms' logit gradients summed, as in train_phase
-            dlogits = dlogits + distill_loss(acts.logits, teacher_logits, self.OLD, 2.0, 0.7)[1]
+            dlogits = dlogits + distill_loss(acts.logits, teacher_targets(teacher_logits, 2.0), 2.0, 0.7)[1]
 
         # the reference: one tape backward with the summed adjoint at the logits
         params = [Tensor(p, requires_grad=True) for p in model.params()]
@@ -200,7 +258,7 @@ class TestKernelAgainstTape:
         (tape_logits * dlogits).sum().backward()
         expected = [p.grad for p in params]
 
-        grads, _ = model.backward(acts, dlogits)
+        grads = model.views(backward(model, acts, dlogits)[0])
         assert [g.shape for g in grads] == [p.shape for p in model.params()]
         for got, want in zip(grads, expected):
             assert np.array_equal(got, want)
@@ -210,10 +268,10 @@ class TestKernelAgainstTape:
     def test_one_pass_split_matches_two_sub_batch_passes(self, variant, old_classes):
         model, x, y, loss_fn, _ = self._setup(variant)
         acts = model.forward(x)
-        grads, deltas = model.backward(acts, loss_fn(acts.logits, y)[1])
-        split = _contribution_sums(_flatten(grads), acts, deltas, y >= old_classes)
+        grad, deltas = backward(model, acts, loss_fn(acts.logits, y)[1])
+        sums = split(model, grad, acts, deltas, y >= old_classes)
 
-        for got, rows in zip(split, (y >= old_classes, y < old_classes)):
+        for got, rows in zip(sums, (y >= old_classes, y < old_classes)):
             want = self._sub_batch_sum(model, x, y, loss_fn, rows)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -235,10 +293,10 @@ class TestKernelAgainstTape:
             y = np.resize([0, self.OLD, 1, self.K - 1, 2, self.OLD], 22)  # 11 new rows, 11 old
         new_rows = y >= self.OLD
         acts = model.forward(x)
-        grads, deltas = model.backward(acts, loss_fn(acts.logits, y)[1])
-        split = _contribution_sums(_flatten(grads), acts, deltas, new_rows)
+        grad, deltas = backward(model, acts, loss_fn(acts.logits, y)[1])
+        sums = split(model, grad, acts, deltas, new_rows)
 
-        for got, rows in zip(split, (new_rows, ~new_rows)):
+        for got, rows in zip(sums, (new_rows, ~new_rows)):
             want = self._sub_batch_sum(model, x, y, loss_fn, rows)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -246,12 +304,12 @@ class TestKernelAgainstTape:
     def _sub_batch_sum(model, x, y, loss_fn, rows):
         # reference: the sub-batch's summed loss through its own tape pass
         if not rows.any():
-            return np.zeros(_flatten(model.params()).size)
+            return np.zeros(model.flat.size)
         params = [Tensor(p, requires_grad=True) for p in model.params()]
         sub_logits = _tape_logits(params, x[rows])
         _, sub_dlogits = loss_fn(sub_logits.data, y[rows])
         (sub_logits * (sub_dlogits * float(rows.sum()))).sum().backward()
-        return _flatten([p.grad for p in params])
+        return flatten([p.grad for p in params])
 
 
 class TestTrainPhase:
@@ -379,9 +437,9 @@ class TestTrainPhase:
         data, config, model, teacher, _ = self._distilling_phase()
         calls = []
 
-        def counted(net, acts, dlogits, backward=Classifier.backward):
+        def counted(net, acts, dlogits, out, backward=Classifier.backward):
             calls.append(net)
-            return backward(net, acts, dlogits)
+            return backward(net, acts, dlogits, out)
 
         monkeypatch.setattr(Classifier, "backward", counted)
         trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
@@ -401,7 +459,7 @@ class TestTrainPhase:
         initial = model.copy()
         trace = train_phase(model, data, config, 1, teacher=start.model, old_classes=2, variant=variant)
         (row,) = trace.rows
-        update = (_flatten(initial.params()) - _flatten(model.params())) / config.lr
+        update = (initial.flat - model.flat) / config.lr
         assert row.grad_total_sq == pytest.approx(float(update @ update), rel=1e-10)
 
         # the split rebuilt from the same batch: the full gradient's row groups
@@ -412,9 +470,10 @@ class TestTrainPhase:
         if track is not None:
             track(1, 0, acts, y)
         teacher_logits = start.model.forward(data.features).logits[idx]
-        _, old_dlogits = distill_loss(acts.logits, teacher_logits, 2, config.distill_temperature, config.distill_weight)
-        grads, deltas = initial.backward(acts, loss_fn(acts.logits, y)[1] + old_dlogits)
-        grad_new, grad_old = _contribution_sums(_flatten(grads), acts, deltas, y >= 2)
+        targets = teacher_targets(teacher_logits, config.distill_temperature)
+        _, old_dlogits = distill_loss(acts.logits, targets, config.distill_temperature, config.distill_weight)
+        grad, deltas = backward(initial, acts, loss_fn(acts.logits, y)[1] + old_dlogits)
+        grad_new, grad_old = split(initial, grad, acts, deltas, y >= 2)
         want = data.n * update
         assert np.linalg.norm(grad_new + grad_old - want) <= 1e-12 * np.linalg.norm(want)
         assert row.grad_new_norm == pytest.approx(float(np.linalg.norm(grad_new)), rel=1e-10)
@@ -436,8 +495,7 @@ class TestTrainPhase:
             np.testing.assert_array_equal(x, data.features[idx])
             want, _ = distill_loss(
                 logits,
-                teacher.forward(data.features[idx]).logits,
-                2,
+                teacher_targets(teacher.forward(data.features[idx]).logits, config.distill_temperature),
                 config.distill_temperature,
                 config.distill_weight,
             )
@@ -635,6 +693,33 @@ class TestOldPhaseCurvature:
         net, sets = kinked_relu_problem()
         return net, sets, _old_phase_hvp(net, sets), frozen_mask_hessian(net, sets)
 
+    def test_problem_writes_through_the_parameter_views(self, problem):
+        net = problem[0]
+        assert all(np.shares_memory(p, net.flat) for p in net.params())
+        assert np.array_equal(flatten(net.params()), net.flat)
+
+    def test_a_product_allocates_no_row_sized_array(self):
+        # two old phases of 600 and 300 rows through hidden layers of 32
+        # units: each row-sized array of a hidden layer takes 600 * 32 * 8 B
+        rng = np.random.default_rng(6)
+        net = Classifier(4, (32, 32), 3, rng)
+        sets = [LabeledSet(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3) for n in (600, 300)]
+        hvp = _old_phase_hvp(net, sets)
+        u, v = rng.standard_normal((2, net.flat.size))
+        first = hvp(u)
+        kept = first.copy()
+        tracemalloc.start()
+        try:
+            second = hvp(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 32 * 8
+        # Lanczos keeps the previous product while it takes the next one
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(hvp(u), kept)
+
     def test_point_sits_on_kinks(self, problem):
         net, sets, _, _ = problem
         on_kink = 0
@@ -658,7 +743,7 @@ class TestOldPhaseCurvature:
         net, _, hvp, _ = problem
         rng = np.random.default_rng(0)
         for _ in range(5):
-            u, v = rng.standard_normal((2, _flatten(net.params()).size))
+            u, v = rng.standard_normal((2, net.flat.size))
             hu, hv = hvp(u), hvp(v)
             scale = np.linalg.norm(u) * np.linalg.norm(hv) + np.linalg.norm(v) * np.linalg.norm(hu)
             assert abs(u @ hv - v @ hu) <= 1e-12 * scale
