@@ -27,10 +27,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 
 from .balance import DegenerateTrainingError
-from .config import ConfigError, ExperimentConfig, check_class_count, load_config, parse_value
+from .config import _SCHEMA, ConfigError, ExperimentConfig, check_class_count, load_config, parse_value
 from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, phase_sizes, split_phases
 from .reporting import write_balance_csv, write_boxplot_csv, write_report, write_step_csv, write_sweep_csv
-from .training import DivergenceError, first_phase, run_experiment
+from .training import LOSS_BDR, DivergenceError, first_phase, run_experiment
 
 # sweep name -> config attribute (protocol letters follow the benchmark notation)
 SWEEP_PARAMS = {
@@ -194,10 +194,13 @@ def _cmd_verify(args):
 
 
 def _as_trained(cfg: ExperimentConfig):
-    """``cfg`` with B set to the size of its first phase, S when B is 0.
-    The size does not depend on the class count: an idx config,
-    whose file is not read here, uses ``classes`` as a stand-in and stays as
-    it is when that does not split."""
+    """``cfg`` as its runs train it: the ``[balance]`` keys, which act on bdr
+    only, at their defaults when no variant is bdr, and B set to the size of
+    its first phase, S when B is 0. The size does not depend on the class
+    count: an idx config, whose file is not read here, uses ``classes`` as a
+    stand-in and keeps its B when that does not split."""
+    if LOSS_BDR not in cfg.variants:
+        cfg = replace(cfg, **{attr: getattr(ExperimentConfig, attr) for attr, _ in _SCHEMA["balance"].values()})
     try:
         first = phase_sizes(cfg.classes, cfg.initial_classes, cfg.increment)[0]
     except ProtocolError:

@@ -9,6 +9,7 @@ one when it is built, so a bad value fails the same way from a file, a
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from .data import ProtocolError, phase_sizes
@@ -98,6 +99,12 @@ class ExperimentConfig:
             ("seeds", bool(self.seeds), "at least one seed is required"),
             ("seeds", lowest_seed >= 0, f"seeds must be non-negative, got {lowest_seed}"),
         ]
+        # after the range rules, so a NaN keeps their message
+        for section in _SCHEMA.values():
+            for key, (attr, parse) in section.items():
+                if parse is float:
+                    value = getattr(self, attr)
+                    checks.append((attr, math.isfinite(value), f"{key} must be finite, got {value}"))
         # per_class: each class keeps a sample to train on and holds one out for testing
         for name, least in (("classes", 2), ("per_class", 2), ("dim", 2)):
             value = getattr(self, name)
@@ -236,5 +243,10 @@ def parse_config(text) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_config(text)

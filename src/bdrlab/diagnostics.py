@@ -137,16 +137,17 @@ def peak_bound(steps_to_peak, lr, sigma_max, grad_sq_sum):
     return 0.5 * steps_to_peak * lr * lr * sigma_max * grad_sq_sum
 
 
-def bound_report(old_losses, grad_total_sq, contrib_inner, batch_sizes, lr, curvature):
-    """Assemble the per-phase bound evaluation from recorded step data and
-    the old-phase curvature estimate (a ``TopEigen``). Of the per-step gaps
-    only the smallest is kept; the step trace holds their inputs, and the
-    peak rise is the phase's ``destruction`` ``f_max``.
+def bound_report(destruction, grad_total_sq, contrib_inner, batch_sizes, lr, curvature):
+    """Assemble the per-phase bound evaluation from the phase's
+    ``destruction_report``, which gives the peak rise and its step, the
+    recorded step data and the old-phase curvature estimate (a
+    ``TopEigen``). Of the per-step gaps only the smallest is kept; the step
+    trace holds their inputs.
 
     The unknown additive constant in the bound is not estimated, so the
     margin ``bound_minus_f_max`` is reported, never asserted.
     """
-    rise, peak_step = f_max(old_losses)
+    rise, peak_step = destruction["f_max"], destruction["step_of_peak"]
     gsq = np.asarray(grad_total_sq, dtype=np.float64)
     inner = np.asarray(contrib_inner, dtype=np.float64)
     n = np.asarray(batch_sizes, dtype=np.float64)

@@ -1,9 +1,10 @@
 """Phase-wise incremental training with pluggable classification losses.
 
-Each incremental phase inherits the previous model, widens its head for the
-new classes, and trains on the current samples merged with the replayed
-exemplars. The total loss is the chosen classification variant plus a
-temperature-softened consolidation term against the frozen previous model.
+Each incremental phase inherits the previous model, which is its teacher:
+the model scores the phase's training set (the current samples merged with
+the replayed exemplars) once, then widens its head for the new classes and
+trains. The total loss is the chosen classification variant plus a
+temperature-softened consolidation term against those recorded outputs.
 Every step also records the gradient decomposition into new-class and
 old-class contribution sums, which feeds the destruction diagnostics. The
 step trace is the run's only per-step record: the report entry of a phase
@@ -17,10 +18,10 @@ operations. Every loss head is closed-form: it returns the loss and its
 gradient at the logits, which goes straight into ``Classifier.backward``.
 A step is one forward pass plus one backward pass: backward is linear, so
 the consolidation term's logit gradient is added to the classification
-one and the sum goes through ``Classifier.backward`` once. The frozen
-teacher's logits, and the tempered softmax targets taken from them, are
-computed once per phase, in ``batch_size`` chunks of the training set, and
-each step reads its rows. The step record describes
+one and the sum goes through ``Classifier.backward`` once. The teacher's
+logits, and the tempered softmax targets taken from them, are computed
+once per phase, in ``batch_size`` chunks of the training set, and each
+step reads its rows. The step record describes
 the update gradient, classification plus weighted consolidation, and its
 new/old split comes from that same backward pass: a weight's gradient is a
 sum of per-row outer products of layer input and row delta, so summing
@@ -28,14 +29,15 @@ over the smaller of the new-class and old-class row groups gives its
 contribution directly (Goodfellow 2015, arXiv:1510.01799), and the other
 group's is the batch gradient minus it.
 
-A phase is set up in ``train_phase``, which decides before the first step
-what the phase trains with: the loss, bdr's offset schedule and where
-``loss_old`` comes from. It is closed in ``_close_phase``, which stores the
-exemplars, builds the whole report entry and takes the next phase's
-old-phase curvature. A loss variant acts only against old classes, so
-phase 0 is plain cross-entropy and a run splits in two: ``first_phase``
-trains and closes phase 0, and ``run_experiment`` continues a variant from
-copies of that record. The variants of a seed share one record; ``bdrlab run``
+Every phase, phase 0 included, runs through ``_run_phase``: it merges the
+replay set, trains with ``train_phase``, which decides before the first
+step what the phase trains with (the teacher's targets, the head's growth,
+the loss, bdr's offset schedule and where ``loss_old`` comes from), then
+stores the exemplars, builds the whole report entry and takes the next
+phase's old-phase curvature. A loss variant acts only against old classes,
+so phase 0 is plain cross-entropy and a run splits in two: ``first_phase``
+runs phase 0, and ``run_experiment`` continues a variant from copies of
+that record. The variants of a seed share one record; ``bdrlab run``
 computes it once per seed and charges it to the seed's first variant.
 
 A ``config`` argument is a ``config.ExperimentConfig``, whose settings were
@@ -341,22 +343,27 @@ def _contribution_sums(model, grad, acts, deltas, new_rows, out):
     return new, old
 
 
-def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_classes=0, variant=LOSS_CE):
+def train_phase(model, data: LabeledSet, config, phase_index, variant=LOSS_CE):
     """SGD of ``model``, in place, over one phase's merged training set with
     the loss ``variant``; returns the phase's ``StepTrace``.
 
-    Everything the phase trains with is decided here, before the first step.
-    bdr freezes its offset schedule from the model and the set as the phase
-    starts (``_phase_loss``). ``loss_old`` is the consolidation term against
-    ``teacher`` when one is given and ``distill_weight`` is positive. The
-    teacher is frozen and the set fixed, so its logits are computed once, in
-    ``batch_size`` chunks in training-set order, and with them its tempered
-    targets (``teacher_targets``, row by row); each step reads its rows. A
-    row's BLAS result can depend on the rows sharing its matmul, so these
-    logits may differ from per-batch ones at rounding level. Otherwise ``loss_old`` is the
-    plain cross-entropy, at each step, of the set's old-class rows: in a run
-    these are the replayed exemplars, which ``merged_training_set`` puts
-    first. That cross-entropy takes no part in the update.
+    ``model`` arrives as the previous phase left it. When ``data`` holds
+    more classes than its head, the head's classes are the old ones and the
+    arriving model is the phase's teacher: with a positive
+    ``distill_weight`` it scores the set once, before its head grows, in
+    ``batch_size`` chunks in training-set order, and its tempered targets
+    (``teacher_targets``, row by row) are the consolidation term's; each
+    step reads its rows. A row's BLAS result can depend on the rows sharing
+    its matmul, so these logits may differ from per-batch ones at rounding
+    level. The head then grows to ``data.class_count`` classes, from the
+    phase's ``INIT`` stream.
+
+    Everything else the phase trains with is decided here too, before the
+    first step. bdr freezes its offset schedule from the grown model and the
+    set (``_phase_loss``). Without distillation ``loss_old`` is the plain
+    cross-entropy, at each step, of the set's old-class rows: in a run these
+    are the replayed exemplars, which ``merged_training_set`` puts first.
+    That cross-entropy takes no part in the update.
 
     The steps run with numpy's overflow and invalid-value warnings off: a
     step whose loss or gradient record is non-finite ends, before its
@@ -366,23 +373,26 @@ def train_phase(model, data: LabeledSet, config, phase_index, teacher=None, old_
     feats = data.features
     labels = data.labels
     n = data.n
-    loss_fn, track = _phase_loss(variant, model, data, config)
+    old_classes = model.n_classes if data.class_count > model.n_classes else 0
     old_loss = None  # (logits, batch rows) -> (loss_old, its dlogits or None)
-    replayed = labels < old_classes
-    if teacher is not None and config.distill_weight > 0 and old_classes > 0:
-        target_logp, target = teacher_targets(
-            np.concatenate(
-                [teacher.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
-            ),
-            config.distill_temperature,
-        )
-
-        def old_loss(logits, idx):
-            return distill_loss(
-                logits, (target_logp[idx], target[idx]), config.distill_temperature, config.distill_weight
+    if old_classes:
+        if config.distill_weight > 0:
+            target_logp, target = teacher_targets(
+                np.concatenate(
+                    [model.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
+                ),
+                config.distill_temperature,
             )
 
-    elif replayed.any():
+            def old_loss(logits, idx):
+                return distill_loss(
+                    logits, (target_logp[idx], target[idx]), config.distill_temperature, config.distill_weight
+                )
+
+        model.expand_head(data.class_count - old_classes, rng_for(config.seed, INIT, phase_index))
+    loss_fn, track = _phase_loss(variant, model, data, config)
+    replayed = labels < old_classes
+    if old_loss is None and replayed.any():
         replay_x, replay_y, zero = feats[replayed], labels[replayed], np.zeros(model.n_classes)
 
         def old_loss(logits, idx):
@@ -542,16 +552,23 @@ class FirstPhase:
     sigma_max: TopEigen | None  # phase 1's old-phase curvature estimate; None with one phase
 
 
-def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
-    """Close phase t, trained on ``data`` with step trace ``trace``: store its
-    exemplars and build its report entry. The entry holds the test accuracy
-    over every class seen so far, overall and split into the old and the new
+def _run_phase(stream, t, model, memory, config, variant, sigma_max):
+    """Train and close phase t of ``stream`` with the loss ``variant``.
+
+    ``model`` and ``memory`` arrive as phase t-1 left them and are updated
+    in place: the phase trains on its samples merged with the replayed
+    exemplars (``train_phase`` grows the head), then stores its exemplars
+    and builds its report entry. The entry holds the test accuracy over
+    every class seen so far, overall and split into the old and the new
     classes, and from phase 1 on the destruction and the bound reports;
-    ``sigma_max`` is the phase's old-phase curvature, taken when the previous
-    phase closed. Returns the entry and the next phase's curvature, taken at
-    the model as phase t leaves it (None after the last phase). Evaluation
-    runs first and, like the curvature pass, rejects a non-finite logit, so
-    a model left non-finite ends in a ``DivergenceError``, not an entry."""
+    ``sigma_max`` is the phase's old-phase curvature, taken when the
+    previous phase closed. Returns the step trace, the entry and the next
+    phase's curvature, taken at the model as phase t leaves it (None after
+    the last phase). Evaluation runs first and, like the curvature pass,
+    rejects a non-finite logit, so a model left non-finite ends in a
+    ``DivergenceError``, not an entry."""
+    data = merged_training_set(memory, stream.phases[t])
+    trace = train_phase(model, data, config, t, variant)
     test = concat_sets(stream.test_phases[: t + 1])
     next_sigma_max = None
     try:
@@ -576,17 +593,16 @@ def _close_phase(stream, t, model, memory, data, trace, config, sigma_max):
         "bound": None,
     }
     if t > 0:
-        old_losses = trace.column("loss_old")
-        entry["destruction"] = destruction_report(old_losses, trace.column("epoch"))
+        entry["destruction"] = destruction_report(trace.column("loss_old"), trace.column("epoch"))
         entry["bound"] = bound_report(
-            old_losses,
+            entry["destruction"],
             trace.column("grad_total_sq"),
             trace.column("contrib_inner"),
             trace.column("batch_size"),
             config.lr,
             sigma_max,
         )
-    return entry, next_sigma_max
+    return trace, entry, next_sigma_max
 
 
 def first_phase(stream: PhaseStream, config) -> FirstPhase:
@@ -595,8 +611,7 @@ def first_phase(stream: PhaseStream, config) -> FirstPhase:
     memory = ExemplarMemory(
         mode=config.memory_mode, budget=config.memory_budget, selection=config.memory_selection, seed=config.seed
     )
-    trace = train_phase(model, stream.phases[0], config, 0)
-    entry, sigma_max = _close_phase(stream, 0, model, memory, stream.phases[0], trace, config, None)
+    trace, entry, sigma_max = _run_phase(stream, 0, model, memory, config, LOSS_CE, None)
     return FirstPhase(stream, config, model, memory, trace, entry, sigma_max)
 
 
@@ -604,8 +619,9 @@ def run_experiment(start: FirstPhase, variant) -> RunResult:
     """Continue ``start``, a run's first phase, on its stream and settings
     with the loss ``variant``, and assemble the machine-readable report.
 
-    Each later phase starts from a copy of the previous model as its
-    teacher, grows the head, merges the replay set, trains and closes.
+    The run works on copies of the first phase's model and memory, which
+    each later phase's ``_run_phase`` trains and closes in place; the model
+    a phase inherits is its teacher.
     """
     if variant not in LOSS_VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}, expected one of {', '.join(LOSS_VARIANTS)}")
@@ -616,11 +632,8 @@ def run_experiment(start: FirstPhase, variant) -> RunResult:
     phase_reports = [copy.deepcopy(start.entry)]
     sigma_max = start.sigma_max
     for t in range(1, stream.num_phases):
-        teacher = model.copy()
-        model.expand_head(stream.classes_through(t) - stream.classes_before(t), rng_for(config.seed, INIT, t))
-        train_set = merged_training_set(memory, stream.phases[t])
-        traces.append(train_phase(model, train_set, config, t, teacher, stream.classes_before(t), variant))
-        entry, sigma_max = _close_phase(stream, t, model, memory, train_set, traces[-1], config, sigma_max)
+        trace, entry, sigma_max = _run_phase(stream, t, model, memory, config, variant, sigma_max)
+        traces.append(trace)
         phase_reports.append(entry)
     avg, last = metrics([entry["accuracy"]["overall"] for entry in phase_reports])
     report = {

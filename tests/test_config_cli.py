@@ -480,6 +480,66 @@ class TestConfigErrorsAtParseTime:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("'lr' in [train]", ("lr = 0.05", "lr = inf")),
+            ("'distill_weight' in [train]", ("hidden = 12, 12", "hidden = 12, 12\ndistill_weight = inf")),
+            ("'distill_temperature' in [train]", ("hidden = 12, 12", "hidden = 12, 12\ndistill_temperature = 1e309")),
+            ("'tau' in [balance]", ("[run]", "[balance]\ntau = inf\n\n[run]")),
+            ("'separation' in [dataset]", ("separation = 3.0", "separation = inf")),
+            ("'noise' in [dataset]", ("separation = 3.0", "separation = 3.0\nnoise = inf")),
+        ],
+        ids=["lr", "distill_weight", "distill_temperature", "tau", "separation", "noise"],
+    )
+    def test_infinite_float_setting_rejected(self, tmp_path, capsys, key, edit):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG.replace(*edit))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad value for {key}:") and "must be finite, got inf" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, key", [("tau", "'tau' in [balance]"), ("lambda", "'distill_weight' in [train]")])
+    def test_sweep_rejects_an_infinite_value(self, tmp_path, capsys, param, key):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config_path), "--param", param, "--values", "1,inf", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep value {param}=inf: bad value for {key}:")
+        assert not out.exists()
+
+    def test_nan_keeps_its_range_message(self):
+        with pytest.raises(ConfigError, match="learning rate must be positive, got nan"):
+            ExperimentConfig(lr=float("nan"))
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "tau", "--values", "1"]], ids=["run", "sweep"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_bytes(SMALL_CONFIG.replace("out = runs", "out = caf\xe9").encode("latin-1"))
+        offset = SMALL_CONFIG.index("out = runs") + len("out = caf")
+        out = tmp_path / "out"
+        assert main([command[0], str(config_path), *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config_path} is not UTF-8 text:") and f"at byte {offset}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, values", [("tau", "1,2"), ("m", "0.5,0.6")])
+    def test_sweep_over_a_balance_key_without_bdr_repeats_its_runs(self, tmp_path, capsys, param, values):
+        # the [balance] keys act on bdr only, so ce and cr train alike at every value
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG.replace("variants = ce, bdr", "variants = ce, cr"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config_path), "--param", param, "--values", values, "--out", str(out)]) == 2
+        first, second = values.split(",")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep value {param}={second}: ")
+        assert f"trains the same protocol as {param}={float(first)}" in err
+        assert not out.exists()
+
+
 class TestCmdSweep:
     def test_sweep_row_count(self, tmp_path):
         config_path = tmp_path / "exp.cfg"

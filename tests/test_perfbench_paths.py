@@ -32,3 +32,61 @@ def test_every_traced_path_resolves():
         if owner is None:
             missing.append(path)
     assert not missing, f"unresolved traced paths: {', '.join(missing)}"
+
+
+# Traced paths that no run calls, and why; their spans read 0 on every run.
+NEVER_ON_A_RUN = {"tensor.Tensor.backward": "the tape is the tests' reference kernel, off the run path"}
+
+REACH_CONFIG = """
+[dataset]
+classes = 6
+per_class = 24
+dim = 4
+separation = 3.0
+
+[protocol]
+initial_classes = 2
+increment = 2
+
+[memory]
+budget = 3
+selection = herding
+
+[train]
+epochs = 2
+batch_size = 12
+hidden = 12, 12
+
+[run]
+variants = ce, cr, bdr
+seeds = 0
+"""
+
+
+def test_every_traced_path_is_reached(tmp_path, monkeypatch):
+    # A call site that moves can leave a span that resolves but never fires,
+    # and its per-layer metric then reads 0: count each path's calls over a
+    # small three-phase run of every variant.
+    from bdrlab.cli import main
+
+    reached = {}
+
+    def counting(path, fn):
+        def counted(*args, **kwargs):
+            reached[path] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for path in _patched_paths():
+        module, *attrs = path.split(".")
+        owner = importlib.import_module(f"bdrlab.{module}")
+        for attr in attrs[:-1]:
+            owner = getattr(owner, attr)
+        reached[path] = 0
+        monkeypatch.setattr(owner, attrs[-1], counting(path, getattr(owner, attrs[-1])))
+    config_path = tmp_path / "reach.cfg"
+    config_path.write_text(REACH_CONFIG)
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    unreached = [path for path, calls in reached.items() if not calls and path not in NEVER_ON_A_RUN]
+    assert not unreached, f"traced paths no run reached: {', '.join(unreached)}"

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bdrlab import training
 from bdrlab.balance import ce_with_offset, log_softmax
 from bdrlab.config import ExperimentConfig
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
@@ -372,11 +373,12 @@ class TestTrainPhase:
     def test_runaway_learning_rate_diverges_in_every_variant(self, variant):
         # bdr's balance update meets the blown-up features first: its
         # non-finite variance must end as the same typed divergence
+        # (class 0 is old: the arriving one-class model grows a column for 1)
         data = make_gaussian_mixture(2, 20, 6, 3.0, seed=4)
         config = ExperimentConfig(epochs=6, batch_size=8, hidden=(16,), lr=1e8)
-        model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
+        model = Classifier(6, config.hidden, 1, rng_for(0, INIT, 0))
         with pytest.raises(DivergenceError, match="phase 1, step"):
-            train_phase(model, data, config, 1, old_classes=1, variant=variant)
+            train_phase(model, data, config, 1, variant)
 
     def test_trace_identity_links_contributions_to_total(self):
         # recorded ||grad||^2 equals the recomputation from the stored
@@ -394,47 +396,58 @@ class TestTrainPhase:
                 checked += 1
         assert checked > 0
 
-    def test_teacher_parameters_frozen(self):
-        stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
-        config = small_config(epochs=2)
-        model = Classifier(4, config.hidden, 2, rng_for(0, INIT, 0))
-        train_phase(model, stream.phases[0], config, 0)
+    def test_teacher_parameters_frozen(self, monkeypatch):
+        # the model a phase inherits is its teacher: the targets are taken
+        # from it before training moves it, chunk by chunk
+        data, config, model, _ = self._distilling_phase()
         teacher = model.copy()
-        snapshot = [p.copy() for p in teacher.params()]
-        model.expand_head(2, rng_for(0, INIT, 1))
-        train_phase(model, stream.phases[1], config, 1, teacher=teacher, old_classes=2)
-        for p, snap in zip(teacher.params(), snapshot):
-            np.testing.assert_array_equal(p, snap)
+        recorded = []
+
+        def targets(logits, temperature, original=training.teacher_targets):
+            recorded.append((np.array(logits), original(logits, temperature)))
+            return recorded[-1][1]
+
+        monkeypatch.setattr(training, "teacher_targets", targets)
+        train_phase(model, data, config, 1)
+        (logits, got), = recorded
+        chunks = range(0, data.n, config.batch_size)
+        want = np.concatenate([teacher.forward(data.features[i : i + config.batch_size]).logits for i in chunks])
+        np.testing.assert_array_equal(logits, want)
+        for a, b in zip(got, teacher_targets(want, config.distill_temperature)):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(model.layers[0][0], teacher.layers[0][0])  # training moved the model
 
     @staticmethod
     def _distilling_phase():
-        # returns the phase-1 inputs with every forward call of the teacher and
-        # the student recorded as (input rows, logits)
+        # returns the phase-1 inputs, the model as phase 0 leaves it, with
+        # every forward call of it recorded as (input rows, logits)
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
         config = small_config(epochs=3, batch_size=13)
         model = Classifier(4, config.hidden, 2, rng_for(0, INIT, 0))
         train_phase(model, stream.phases[0], config, 0)
-        teacher = model.copy()
-        model.expand_head(2, rng_for(0, INIT, 1))
-        calls = {"teacher": [], "model": []}
-        for name, net in (("teacher", teacher), ("model", model)):
-            def recorded(x, net=net, log=calls[name]):
-                acts = Classifier.forward(net, x)
-                log.append((np.array(x), acts.logits.copy()))
-                return acts
+        calls = []
 
-            net.forward = recorded
-        return stream.phases[1], config, model, teacher, calls
+        def recorded(x):
+            acts = Classifier.forward(model, x)
+            calls.append((np.array(x), acts.logits.copy()))
+            return acts
+
+        model.forward = recorded
+        return stream.phases[1], config, model, calls
 
     def test_teacher_scores_each_row_once_per_phase(self):
-        data, config, model, teacher, calls = self._distilling_phase()
-        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
-        assert len(calls["teacher"]) == math.ceil(data.n / config.batch_size)
-        assert len(trace.rows) == config.epochs * len(calls["teacher"])
-        np.testing.assert_array_equal(np.concatenate([x for x, _ in calls["teacher"]]), data.features)
+        data, config, model, calls = self._distilling_phase()
+        trace = train_phase(model, data, config, 1)
+        scored = math.ceil(data.n / config.batch_size)
+        assert len(calls) == scored + len(trace.rows)
+        assert len(trace.rows) == config.epochs * scored
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in calls[:scored]]), data.features)
+        assert {logits.shape[1] for _, logits in calls[:scored]} == {2}  # the old head
+        assert {logits.shape[1] for _, logits in calls[scored:]} == {data.class_count}
+        assert model.n_classes == data.class_count == 4
 
     def test_a_distilling_step_makes_one_backward_pass(self, monkeypatch):
-        data, config, model, teacher, _ = self._distilling_phase()
+        data, config, model, _ = self._distilling_phase()
         calls = []
 
         def counted(net, acts, dlogits, out, backward=Classifier.backward):
@@ -442,38 +455,50 @@ class TestTrainPhase:
             return backward(net, acts, dlogits, out)
 
         monkeypatch.setattr(Classifier, "backward", counted)
-        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
+        trace = train_phase(model, data, config, 1)
         assert len(trace.rows) > 0
         assert len(calls) == len(trace.rows)
 
     @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-    def test_record_describes_the_update_gradient(self, variant):
-        # a one-step distilling phase from zero velocity: the step moves the
-        # parameters by lr times the recorded gradient. The student does not
-        # start from its teacher, so the consolidation gradient is not zero.
+    def test_record_describes_the_update_gradient(self, variant, monkeypatch):
+        # the second step of a distilling phase without momentum: the step
+        # moves the parameters by lr times the recorded gradient. The student
+        # has left its teacher, so the consolidation gradient is not zero.
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=3), 2, 2, seed=3)
         start = first_phase(stream, small_config())
         data = merged_training_set(start.memory, stream.phases[1])
-        config = replace(start.config, epochs=1, batch_size=data.n)
-        model = Classifier(4, config.hidden, 4, rng_for(5, INIT, 0))
-        initial = model.copy()
-        trace = train_phase(model, data, config, 1, teacher=start.model, old_classes=2, variant=variant)
-        (row,) = trace.rows
-        update = (initial.flat - model.flat) / config.lr
+        config = replace(start.config, epochs=2, batch_size=data.n, sgd_momentum=0.0)
+        model, teacher = start.model.copy(), start.model.copy()
+        before = []
+
+        def recorded(optimizer, grad, step=SGD.step):
+            before.append(optimizer.params.copy())
+            step(optimizer, grad)
+
+        monkeypatch.setattr(SGD, "step", recorded)
+        trace = train_phase(model, data, config, 1, variant)
+        row = trace.rows[1]
+        update = (before[1] - model.flat) / config.lr
         assert row.grad_total_sq == pytest.approx(float(update @ update), rel=1e-10)
 
         # the split rebuilt from the same batch: the full gradient's row groups
-        idx = rng_for(config.seed, BATCH, 1).permutation(data.n)
-        x, y = data.features[idx], data.labels[idx]
-        loss_fn, track = _phase_loss(variant, initial, data, config)
-        acts = initial.forward(x)
+        first, second = model.copy(), model.copy()
+        first.flat[...], second.flat[...] = before
+        rng = rng_for(config.seed, BATCH, 1)
+        batches = [(data.features[idx], data.labels[idx], idx) for idx in (rng.permutation(data.n) for _ in range(2))]
+        loss_fn, track = _phase_loss(variant, first, data, config)
         if track is not None:
-            track(1, 0, acts, y)
-        teacher_logits = start.model.forward(data.features).logits[idx]
+            track(1, 0, first.forward(batches[0][0]), batches[0][1])
+        x, y, idx = batches[1]
+        acts = second.forward(x)
+        if track is not None:
+            track(1, 1, acts, y)
+        teacher_logits = teacher.forward(data.features).logits[idx]
         targets = teacher_targets(teacher_logits, config.distill_temperature)
         _, old_dlogits = distill_loss(acts.logits, targets, config.distill_temperature, config.distill_weight)
-        grad, deltas = backward(initial, acts, loss_fn(acts.logits, y)[1] + old_dlogits)
-        grad_new, grad_old = split(initial, grad, acts, deltas, y >= 2)
+        assert np.abs(old_dlogits).max() > 1e-6
+        grad, deltas = backward(second, acts, loss_fn(acts.logits, y)[1] + old_dlogits)
+        grad_new, grad_old = split(second, grad, acts, deltas, y >= 2)
         want = data.n * update
         assert np.linalg.norm(grad_new + grad_old - want) <= 1e-12 * np.linalg.norm(want)
         assert row.grad_new_norm == pytest.approx(float(np.linalg.norm(grad_new)), rel=1e-10)
@@ -481,17 +506,18 @@ class TestTrainPhase:
         assert row.contrib_inner == pytest.approx(float(grad_new @ grad_old), rel=1e-10)
 
     def test_cached_teacher_logits_give_the_per_batch_distillation_loss(self):
-        data, config, model, teacher, calls = self._distilling_phase()
-        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2)
-        del teacher.forward  # back to the class's pass, unrecorded
+        data, config, model, calls = self._distilling_phase()
+        teacher = model.copy()
+        trace = train_phase(model, data, config, 1)
+        scored = math.ceil(data.n / config.batch_size)
         rng = rng_for(config.seed, BATCH, 1)
         batches = [
             perm[start : start + config.batch_size]
             for perm in (rng.permutation(data.n) for _ in range(config.epochs))
             for start in range(0, data.n, config.batch_size)
         ]
-        assert len(batches) == len(trace.rows) == len(calls["model"])
-        for idx, row, (x, logits) in zip(batches, trace.rows, calls["model"]):
+        assert len(batches) == len(trace.rows) == len(calls) - scored
+        for idx, row, (x, logits) in zip(batches, trace.rows, calls[scored:]):
             np.testing.assert_array_equal(x, data.features[idx])
             want, _ = distill_loss(
                 logits,
@@ -504,7 +530,6 @@ class TestTrainPhase:
             else:
                 assert abs(row.loss_old - want) <= 1e-12 * abs(want)
 
-
     @staticmethod
     def _phase_one_of_a_run(variant="ce", **overrides):
         # a run's phase-1 inputs rebuilt from its shared first phase, and the run
@@ -516,10 +541,9 @@ class TestTrainPhase:
         return stream, config, start, model, run.traces[1]
 
     def test_bdr_phase_builds_its_balance_state_as_the_run_does(self):
-        stream, config, start, model, run_trace = self._phase_one_of_a_run("bdr")
-        teacher = start.model.copy()
+        stream, config, start, _, run_trace = self._phase_one_of_a_run("bdr")
         data = merged_training_set(start.memory, stream.phases[1])
-        trace = train_phase(model, data, config, 1, teacher=teacher, old_classes=2, variant="bdr")
+        trace = train_phase(start.model.copy(), data, config, 1, "bdr")
         assert len(trace.balance_rows) == 4 * len(trace.rows) > 0
         assert trace.balance_rows == run_trace.balance_rows
         assert trace.rows == run_trace.rows
