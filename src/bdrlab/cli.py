@@ -5,10 +5,9 @@ JSON report plus CSV traces per run, and prints a tab-separated summary
 line per run. Phase 0 trains with plain cross-entropy whatever the variant,
 so the stream, phase 0 and the phase-1 curvature are computed once per seed
 and shared by its variants; the first variant's ``wall_time_s`` includes
-them. ``--jobs`` runs seeds in parallel, so workers beyond the number of
-seeds sit idle. ``sweep`` repeats that across values of one parameter and
-aggregates a CSV. ``verify`` runs the oracle battery and exits non-zero on
-any failure.
+them. ``--jobs`` runs seeds in parallel, at most one worker per seed.
+``sweep`` repeats that across values of one parameter and aggregates a
+CSV. ``verify`` runs the oracle battery and exits non-zero on any failure.
 
 A pair whose training diverges or degenerates ends the run at its seed:
 the summaries of the pairs that finished are printed first, then one error
@@ -127,14 +126,16 @@ def _run_seed(cfg: ExperimentConfig, seed, out_dir):
 
 def _pooled(cfg: ExperimentConfig, out_dir, jobs):
     """Each started seed's ``_run_seed`` result, in seed order, from up to
-    ``jobs`` worker processes. A seed goes to the pool only when a worker is
-    free and no seed has failed yet, so none starts after a known failure; a
-    pool holding queued seeds could not cancel them, because it hands them
-    to its workers' queue ahead of time."""
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    ``jobs`` worker processes, no more than there are seeds: a fork pool
+    starts all its workers at the first submit. A seed goes to the pool only
+    when a worker is free and no seed has failed yet, so none starts after a
+    known failure; a pool holding queued seeds could not cancel them,
+    because it hands them to its workers' queue ahead of time."""
+    workers = min(jobs, len(cfg.seeds))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures, running = [], set()
         for seed in cfg.seeds:
-            if len(running) == jobs:
+            if len(running) == workers:
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 if any(f.result()[1] is not None for f in done):
                     break
@@ -237,7 +238,7 @@ def _cmd_sweep(args):
         sub_dir = os.path.join(out_root, f"{args.param}={value}")
         summaries, failure = _execute(swept, sub_dir, args.jobs)
         for summary in summaries:
-            peak = max(summary["f_max"]) if summary["f_max"] else 0.0
+            peak = max(summary["f_max"]) if summary["f_max"] else ""  # no incremental phase, no peak
             rows.append(
                 (args.param, value, summary["variant"], summary["seed"], summary["avg"], summary["last"], peak)
             )
@@ -264,7 +265,7 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run every configured (variant, seed) pair")
     p_run.add_argument("config", help="path to an experiment config file")
     p_run.add_argument("--out", default=None, help="output directory (overrides the config)")
-    p_run.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes, at most one per seed")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the oracle and property battery")

@@ -1,8 +1,10 @@
 """Experiment configuration: a strict, typed INI dialect.
 
 Sections mirror the package's modules. Unknown sections or keys are
-rejected by name. ``ExperimentConfig`` holds every setting and checks each
-one when it is built, so a bad value fails the same way from a file, a
+rejected by name, ``[DEFAULT]`` included. Each setting is declared once, as
+an ``ExperimentConfig`` field that carries its section, key, default and
+parser; ``_SCHEMA`` is read from those fields. The class checks every
+setting when it is built, so a bad value fails the same way from a file, a
 ``sweep --values`` entry or Python.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .data import ProtocolError, phase_sizes
 from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM
@@ -21,6 +23,23 @@ class ConfigError(ValueError):
     """Unparseable or semantically invalid experiment configuration."""
 
 
+def _parse_str_list(text):
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(parts)
+
+
+def _parse_int_list(text):
+    return tuple(int(p) for p in _parse_str_list(text))
+
+
+def _key(section, key, default, parse):
+    """The field of the config key ``key`` in ``[section]``, read by ``parse``.
+    Its default stays a class attribute."""
+    return field(default=default, metadata={"section": section, "key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A whole experiment: the dataset, the protocol, the training settings
@@ -28,41 +47,35 @@ class ExperimentConfig:
     a run of seed s uses ``replace(cfg, seed=s)`` and names its loss variant
     to ``run_experiment``."""
 
-    # dataset
-    dataset_kind: str = "gaussian"
-    classes: int = 8
-    per_class: int = 120
-    dim: int = 8
-    separation: float = 2.25
-    ring_noise: float = 0.1
-    idx_images: str = ""
-    idx_labels: str = ""
-    # protocol
-    initial_classes: int = 4
-    increment: int = 2
-    # memory
-    memory_mode: str = PER_CLASS
-    memory_budget: int = 5
-    memory_selection: str = HERDING
-    # train
-    epochs: int = 12
-    batch_size: int = 32
-    lr: float = 0.03
-    sgd_momentum: float = 0.9
-    distill_weight: float = 1.0
-    distill_temperature: float = 2.0
-    variance_source: str = "feature"
-    hidden: tuple = (64, 64)
-    # balance
-    m: float = 0.8
-    m_prime: float = 0.8
-    beta: float = 0.99
-    tau: float = 1.0
-    # run
-    variants: tuple = ("ce", "bdr")
-    seeds: tuple = (0,)
-    out: str = "runs"
-    seed: int = 0  # the seed of one run, one of ``seeds``
+    dataset_kind: str = _key("dataset", "kind", "gaussian", str.strip)
+    classes: int = _key("dataset", "classes", 8, int)
+    per_class: int = _key("dataset", "per_class", 120, int)
+    dim: int = _key("dataset", "dim", 8, int)
+    separation: float = _key("dataset", "separation", 2.25, float)
+    ring_noise: float = _key("dataset", "noise", 0.1, float)
+    idx_images: str = _key("dataset", "images", "", str.strip)
+    idx_labels: str = _key("dataset", "labels", "", str.strip)
+    initial_classes: int = _key("protocol", "initial_classes", 4, int)
+    increment: int = _key("protocol", "increment", 2, int)
+    memory_mode: str = _key("memory", "mode", PER_CLASS, str.strip)
+    memory_budget: int = _key("memory", "budget", 5, int)
+    memory_selection: str = _key("memory", "selection", HERDING, str.strip)
+    epochs: int = _key("train", "epochs", 12, int)
+    batch_size: int = _key("train", "batch_size", 32, int)
+    lr: float = _key("train", "lr", 0.03, float)
+    sgd_momentum: float = _key("train", "momentum", 0.9, float)
+    distill_weight: float = _key("train", "distill_weight", 1.0, float)
+    distill_temperature: float = _key("train", "distill_temperature", 2.0, float)
+    variance_source: str = _key("train", "variance_source", "feature", str.strip)
+    hidden: tuple = _key("train", "hidden", (64, 64), _parse_int_list)
+    m: float = _key("balance", "m", 0.8, float)
+    m_prime: float = _key("balance", "m_prime", 0.8, float)
+    beta: float = _key("balance", "beta", 0.99, float)
+    tau: float = _key("balance", "tau", 1.0, float)
+    variants: tuple = _key("run", "variants", ("ce", "bdr"), _parse_str_list)
+    seeds: tuple = _key("run", "seeds", (0,), _parse_int_list)
+    out: str = _key("run", "out", "runs", str.strip)
+    seed: int = 0  # the seed of one run, one of ``seeds``; not a config key
 
     def __post_init__(self):
         kind = self.dataset_kind
@@ -147,61 +160,11 @@ def check_class_count(cfg: ExperimentConfig, classes):
         raise _bad_value(("initial_classes", "increment"), exc) from exc
 
 
-def _parse_str_list(text):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(parts)
-
-
-def _parse_int_list(text):
-    return tuple(int(p) for p in _parse_str_list(text))
-
-
-# section -> key -> (attribute, parser)
-_SCHEMA = {
-    "dataset": {
-        "kind": ("dataset_kind", str.strip),
-        "classes": ("classes", int),
-        "per_class": ("per_class", int),
-        "dim": ("dim", int),
-        "separation": ("separation", float),
-        "noise": ("ring_noise", float),
-        "images": ("idx_images", str.strip),
-        "labels": ("idx_labels", str.strip),
-    },
-    "protocol": {
-        "initial_classes": ("initial_classes", int),
-        "increment": ("increment", int),
-    },
-    "memory": {
-        "mode": ("memory_mode", str.strip),
-        "budget": ("memory_budget", int),
-        "selection": ("memory_selection", str.strip),
-    },
-    "train": {
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "lr": ("lr", float),
-        "momentum": ("sgd_momentum", float),
-        "distill_weight": ("distill_weight", float),
-        "distill_temperature": ("distill_temperature", float),
-        "variance_source": ("variance_source", str.strip),
-        "hidden": ("hidden", _parse_int_list),
-    },
-    "balance": {
-        "m": ("m", float),
-        "m_prime": ("m_prime", float),
-        "beta": ("beta", float),
-        "tau": ("tau", float),
-    },
-    "run": {
-        "variants": ("variants", _parse_str_list),
-        "seeds": ("seeds", _parse_int_list),
-        "out": ("out", str.strip),
-    },
-}
-
+# section -> key -> (attribute, parser), in field order
+_SCHEMA = {}
+for _field in fields(ExperimentConfig):
+    if _field.metadata:
+        _SCHEMA.setdefault(_field.metadata["section"], {})[_field.metadata["key"]] = (_field.name, _field.metadata["parse"])
 
 # config attribute -> (section, key), for error messages
 _KEY_OF = {attr: (section, key) for section, keys in _SCHEMA.items() for key, (attr, _) in keys.items()}
@@ -225,7 +188,8 @@ def parse_value(attr, text):
 
 
 def parse_config(text) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    # no default section: a [DEFAULT] header is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",), default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

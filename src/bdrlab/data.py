@@ -140,10 +140,13 @@ def _read_idx(path, magic_wanted, header_fmt):
 def load_idx(images_path, labels_path):
     """Read an IDX image/label pair (big-endian headers) into a LabeledSet.
 
-    Pixel bytes are scaled to [0, 1]. Every class from 0 to the largest
-    label needs 2 samples, so that ``split_phases`` can hold one out.
+    An image needs at least one pixel; pixel bytes are scaled to [0, 1].
+    Every class from 0 to the largest label needs 2 samples, so that
+    ``split_phases`` can hold one out.
     """
     blob, (magic, count, rows, cols), off = _read_idx(images_path, IDX_IMAGES_MAGIC, ">IIII")
+    if rows == 0 or cols == 0:
+        raise IdxFormatError(f"{images_path}: images of {rows}x{cols} (offsets 8 and 12) hold no pixels")
     expected = off + count * rows * cols
     if len(blob) != expected:
         raise IdxFormatError(

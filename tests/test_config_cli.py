@@ -1,10 +1,12 @@
 import configparser
+import csv
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 import bdrlab
 from bdrlab.cli import build_stream, main
-from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config
+from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, parse_value
 from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, _csv_text, body_hash, read_report
 from bdrlab.training import StepRecord, first_phase, run_experiment
 
@@ -99,6 +101,31 @@ class TestConfigParsing:
         assert list(ExperimentConfig().as_dict()) == attrs
         assert len(attrs) == 28
 
+    @pytest.mark.parametrize("attr", list(ExperimentConfig().as_dict()))
+    def test_each_setting_parses_its_own_default(self, attr):
+        # a key's parser and its default are declared together, so they must agree
+        default = getattr(ExperimentConfig, attr)
+        text = ", ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        parsed = parse_value(attr, text)
+        assert parsed == default and type(parsed) is type(default)
+        if isinstance(default, tuple):
+            assert [type(v) for v in parsed] == [type(v) for v in default]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nlr = 0.5\n", "[DEFAULT]\nepochs = 3\n\n[train]\nlr = 0.05\n", "[DEFAULT]\n" + SMALL_CONFIG],
+        ids=["alone", "leaking", "empty"],
+    )
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "tau", "--values", "1"]], ids=["run", "sweep"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys, text, command):
+        # configparser would otherwise drop it, or copy its keys into every section
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(text)
+        out = tmp_path / "out"
+        assert main([command[0], str(config_path), *command[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown section [DEFAULT]\n"
+        assert not out.exists()
+
 
 def _runaway_config(tmp_path, initial_classes):
     """The benchmark config at lr = 1e300 for one full-batch step, seed 0."""
@@ -163,6 +190,21 @@ class TestCmdRun:
         # one line per pair, in (variant, seed) order, whatever the job count
         assert [tuple(line.split("\t")[:2]) for line in serial_lines] == [(v, str(s)) for v, s in pairs]
         assert parallel_lines == serial_lines
+
+    @pytest.mark.parametrize("seeds, started", [("0", 1), ("0, 1", 2)])
+    def test_jobs_start_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, seeds, started):
+        forked = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                forked.append(len(self._processes))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr("bdrlab.cli.ProcessPoolExecutor", RecordingPool)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG.replace("seeds = 0", f"seeds = {seeds}"))
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out"), "--jobs", "4"]) == 0
+        assert forked == [started]
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -551,6 +593,18 @@ class TestCmdSweep:
         assert lines[0] == "param,value,variant,seed,avg,last,f_max"
         assert len(lines) == 1 + 2 * 2 * 2  # values x variants x seeds
 
+    @pytest.mark.parametrize("initial_classes, peaks", [(2, True), (4, False)], ids=["two_phases", "one_phase"])
+    def test_f_max_cell_is_empty_without_an_incremental_phase(self, tmp_path, initial_classes, peaks):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG.replace("initial_classes = 2", f"initial_classes = {initial_classes}"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config_path), "--param", "tau", "--values", "1,2", "--out", str(out)]) == 0
+        with open(out / "sweep_tau.csv", newline="") as fh:
+            cells = [row["f_max"] for row in csv.DictReader(fh)]
+        assert len(cells) == 4
+        for cell in cells:
+            assert float(cell) >= 0 if peaks else cell == ""
+
     def test_unknown_param_lists_valid_names(self, tmp_path, capsys):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(SMALL_CONFIG)
@@ -660,6 +714,16 @@ seeds = 0
         assert main(["run", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+    def test_image_without_pixels_is_a_data_error(self, tmp_path, capsys, no_training, rows, cols):
+        config_path, ipath = self._write_idx_config(tmp_path, n=24)
+        ipath.write_bytes(struct.pack(">IIII", 0x00000803, 24, rows, cols))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ipath}:") and f"{rows}x{cols}" in err and "offsets 8 and 12" in err
         assert not out.exists()
 
     def test_truncated_idx_file_names_the_file(self, tmp_path, capsys):
