@@ -49,11 +49,6 @@ def write_report(path, body, wall_time_s):
     atomic_write_text(path, json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def read_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _csv_text(columns, rows):
     """CSV text. A float cell is written with ``float.__repr__``, so a
     numpy float64 reads as the Python float it equals, not ``np.float64(...)``."""

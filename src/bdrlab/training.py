@@ -11,11 +11,13 @@ step trace is the run's only per-step record: the report entry of a phase
 holds per-phase summaries of it.
 
 The classifier runs its own numpy forward and backward pass. Its float64
-parameters live in one flat vector, each layer's weight and bias a view of
-it, so backward writes the gradient into one flat buffer that a phase
-reuses across its steps and the SGD update is three whole-vector
-operations. Every loss head is closed-form: it returns the loss and its
-gradient at the logits, which goes straight into ``Classifier.backward``.
+parameters live in one flat vector; ``Classifier.layers`` holds each
+layer's weight and bias as views of it, head last, and
+``Classifier.views`` cuts any vector so laid out into the same pairs. So
+backward writes the gradient into one flat buffer that a phase reuses
+across its steps, and the SGD update is three whole-vector operations.
+Every loss head is closed-form: it returns the loss and its gradient at
+the logits, which goes straight into ``Classifier.backward``.
 A step is one forward pass plus one backward pass: backward is linear, so
 the consolidation term's logit gradient is added to the classification
 one and the sum goes through ``Classifier.backward`` once. The teacher's
@@ -92,11 +94,12 @@ class Activations(NamedTuple):
 class Classifier:
     """ReLU stack over the inputs plus a linear head that grows with the classes.
 
-    The parameters live in one float64 vector, ``flat``, in ``params()``
-    order: each hidden layer's weight then its bias, the head's last. Every
-    parameter array is a view of it, so an update of ``flat`` moves them
-    all; a writer assigns into a view (``head_w[...] = ...``) rather than
-    rebinding it.
+    The parameters live in one float64 vector, ``flat``. ``layers`` holds
+    each layer's ``(weight, bias)`` as views of it, in ``flat``'s order with
+    the head last, so an update of ``flat`` moves them all; a writer assigns
+    into a view (``w[...] = ...``) rather than rebinding it. ``views`` cuts
+    any vector laid out as ``flat`` the same way, and no other code reads
+    the layout.
     """
 
     def __init__(self, in_dim, hidden_sizes, n_classes, rng):
@@ -114,26 +117,17 @@ class Classifier:
         self._shapes = shapes
         stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
         self._cuts = list(zip([0] + stops, stops, shapes))
-        params = self.views(flat)
-        self.layers = list(zip(params[:-2:2], params[1:-2:2]))
-        self.head_w, self.head_b = params[-2:]
+        self.layers = self.views(flat)
 
     @property
     def n_classes(self):
-        return self.head_w.shape[1]
-
-    def params(self):
-        """The arrays the passes read, in ``flat``'s order."""
-        out = []
-        for w, b in self.layers:
-            out.extend((w, b))
-        out.extend((self.head_w, self.head_b))
-        return out
+        return self.layers[-1][1].size
 
     def views(self, vec):
-        """``vec``, a vector laid out as ``flat``, as one view per parameter
-        in ``params()`` order."""
-        return [vec[start:stop].reshape(shape) for start, stop, shape in self._cuts]
+        """``vec``, a vector laid out as ``flat``, as one ``(weight, bias)``
+        pair of views per layer, head last."""
+        parts = [vec[start:stop].reshape(shape) for start, stop, shape in self._cuts]
+        return list(zip(parts[::2], parts[1::2]))
 
     def forward(self, x):
         """Numpy forward pass over a batch of rows, kept for ``backward``.
@@ -145,13 +139,14 @@ class Classifier:
         """
         h = np.asarray(x, dtype=np.float64)
         inputs, masks = [], []
-        for w, b in self.layers:
+        for w, b in self.layers[:-1]:
             inputs.append(h)
             a = h @ w + b
             masks.append(a > 0.0)  # subgradient at exactly 0 is 0
             h = np.maximum(a, 0.0)
         inputs.append(h)
-        return Activations(inputs, masks, h @ self.head_w + self.head_b)
+        w, b = self.layers[-1]
+        return Activations(inputs, masks, h @ w + b)
 
     def backward(self, acts, dlogits, out):
         """Gradients of a loss whose gradient at the logits is ``dlogits``,
@@ -162,16 +157,15 @@ class Classifier:
         operations and their order are those of the reference tape in
         ``tensor``, so the gradients equal its bit for bit.
         """
-        weights = [w for w, _ in self.layers] + [self.head_w]
         grads = self.views(out)
         deltas = []
         g = dlogits
-        for i in reversed(range(len(weights))):
+        for i, (grad_w, grad_b) in reversed(list(enumerate(grads))):
             deltas.append(g)
-            g.sum(axis=0, out=grads[2 * i + 1])
-            np.matmul(acts.inputs[i].T, g, out=grads[2 * i])
+            g.sum(axis=0, out=grad_b)
+            np.matmul(acts.inputs[i].T, g, out=grad_w)
             if i > 0:
-                g = (g @ weights[i].T) * acts.masks[i - 1]
+                g = (g @ self.layers[i][0].T) * acts.masks[i - 1]
         return deltas[::-1]
 
     def predict(self, x):
@@ -191,10 +185,11 @@ class Classifier:
         """Append columns for new classes; existing rows stay bit-identical."""
         if extra_classes < 1:
             raise ValueError(f"head must grow by at least one class, got {extra_classes}")
-        new_w = rng.normal(0.0, HEAD_INIT_SCALE, (self.head_w.shape[0], extra_classes))
-        head = (np.concatenate([self.head_w, new_w], axis=1), np.concatenate([self.head_b, np.zeros(extra_classes)]))
-        body = self.flat[: self.flat.size - self.head_w.size - self.head_b.size]
-        self._bind(np.concatenate([body, *(p.ravel() for p in head)]), self._shapes[:-2] + [p.shape for p in head])
+        w, b = self.layers[-1]
+        new_w = rng.normal(0.0, HEAD_INIT_SCALE, (w.shape[0], extra_classes))
+        parts = [p for layer in self.layers[:-1] for p in layer]
+        parts += (np.concatenate([w, new_w], axis=1), np.concatenate([b, np.zeros(extra_classes)]))
+        self._bind(np.concatenate([p.ravel() for p in parts]), [p.shape for p in parts])
         return self
 
 
@@ -332,11 +327,10 @@ def _contribution_sums(model, grad, acts, deltas, new_rows, out):
     new_is_direct = 2 * n_new <= new_rows.size
     rows = new_rows if new_is_direct else ~new_rows
     direct, rest = (new, old) if new_is_direct else (old, new)
-    parts = model.views(direct)
-    for i, (h, d) in enumerate(zip(acts.inputs, deltas)):
+    for h, d, (part_w, part_b) in zip(acts.inputs, deltas, model.views(direct)):
         d = d[rows]
-        np.matmul(h[rows].T, d, out=parts[2 * i])
-        d.sum(axis=0, out=parts[2 * i + 1])
+        np.matmul(h[rows].T, d, out=part_w)
+        d.sum(axis=0, out=part_b)
     direct *= scale
     np.multiply(grad, scale, out=rest)
     rest -= direct
@@ -409,7 +403,7 @@ def train_phase(model, data: LabeledSet, config, phase_index, variant=LOSS_CE):
         for epoch in range(config.epochs):
             optimizer.lr = config.lr * (LR_DECAY if epoch >= decay_from else 1.0)
             perm = rng.permutation(n)
-            live = not model.layers  # without a hidden layer no unit can die
+            live = len(model.layers) == 1  # without a hidden layer no unit can die
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
                 y = labels[idx]
@@ -468,7 +462,7 @@ def _old_phase_hvp(model, old_sets):
     largest old phase, which each phase uses through its first rows; so a
     product allocates only the vector it returns, which the caller may keep.
     """
-    weights = [w for w, _ in model.layers] + [model.head_w]
+    layers = model.layers
     grad = np.empty_like(model.flat)  # the cached passes' gradients are not read
     cache = []
     for phase_set in old_sets:
@@ -480,10 +474,12 @@ def _old_phase_hvp(model, old_sets):
         cache.append((acts.inputs, acts.masks, deltas[1:], probs, 1.0 / phase_set.n))
     rows = max(s.n for s in old_sets)
     # per layer: R of its pre-activation, masked in place into R of the next
-    # layer's input; R of the loss gradient there; and a product term
-    r_a, r_g, term = ([np.empty((rows, w.shape[1])) for w in weights] for _ in range(3))
-    w_term = [np.empty_like(w) for w in weights]
-    b_term = [np.empty(w.shape[1]) for w in weights]
+    # layer's input, and R of the loss gradient there. Each also holds a
+    # product term while its own value is not yet or no longer read: r_g in
+    # the R-forward pass, r_a in the R-backward pass
+    r_a, r_g = ([np.empty((rows, w.shape[1])) for w, _ in layers] for _ in range(2))
+    w_term = [np.empty_like(w) for w, _ in layers]
+    b_term = [np.empty_like(b) for _, b in layers]
     row_sum = np.empty((rows, 1))
 
     def hvp(vec):
@@ -491,13 +487,12 @@ def _old_phase_hvp(model, old_sets):
         hv, dirs = model.views(out), model.views(vec)
         for inputs, masks, deltas, probs, scale in cache:
             n = probs.shape[0]
-            for i, w in enumerate(weights):
+            for i, ((w, _), (dir_w, dir_b)) in enumerate(zip(layers, dirs)):
                 a = r_a[i][:n]
-                np.matmul(inputs[i], dirs[2 * i], out=a)
-                a += dirs[2 * i + 1]
+                np.matmul(inputs[i], dir_w, out=a)
+                a += dir_b
                 if i > 0:
-                    np.matmul(r_a[i - 1][:n], w, out=term[i][:n])
-                    a += term[i][:n]
+                    a += np.matmul(r_a[i - 1][:n], w, out=r_g[i][:n])
                 if i < len(masks):
                     a *= masks[i]
             # R of the logit gradient (p - onehot) / n: the softmax Jacobian times R(z)
@@ -507,15 +502,15 @@ def _old_phase_hvp(model, old_sets):
             np.subtract(a, row_sum[:n], out=g)
             g *= probs
             g *= scale
-            for i in reversed(range(len(weights))):
+            for i, (hv_w, hv_b) in reversed(list(enumerate(hv))):
                 g = r_g[i][:n]
-                hv[2 * i] += np.matmul(inputs[i].T, g, out=w_term[i])
-                hv[2 * i + 1] += np.sum(g, axis=0, out=b_term[i])
+                hv_w += np.matmul(inputs[i].T, g, out=w_term[i])
+                hv_b += np.sum(g, axis=0, out=b_term[i])
                 if i > 0:
-                    hv[2 * i] += np.matmul(r_a[i - 1][:n].T, deltas[i - 1], out=w_term[i])
+                    hv_w += np.matmul(r_a[i - 1][:n].T, deltas[i - 1], out=w_term[i])
                     below = r_g[i - 1][:n]
-                    np.matmul(g, weights[i].T, out=below)
-                    below += np.matmul(deltas[i - 1], dirs[2 * i].T, out=term[i - 1][:n])
+                    np.matmul(g, layers[i][0].T, out=below)
+                    below += np.matmul(deltas[i - 1], dirs[i][0].T, out=r_a[i - 1][:n])
                     below *= masks[i - 1]
         return out
 

@@ -70,11 +70,12 @@ def frozen_mask_forward(model, x, masks):
     ``np.where`` on the mask rather than ``np.maximum``."""
     h = np.asarray(x, dtype=np.float64)
     inputs = []
-    for (w, b), mask in zip(model.layers, masks):
+    for (w, b), mask in zip(model.layers[:-1], masks):
         inputs.append(h)
         h = np.where(mask, h @ w + b, 0.0)
     inputs.append(h)
-    return Activations(inputs, masks, h @ model.head_w + model.head_b)
+    w, b = model.layers[-1]
+    return Activations(inputs, masks, h @ w + b)
 
 
 def _net_loss(model, x, labels, masks=None):
@@ -341,10 +342,11 @@ def kinked_relu_problem(seed=8):
     which puts one row on every unit's kink."""
     rng = np.random.default_rng(seed)
     net = Classifier(4, (12, 12), 3, rng)
-    net.head_w[...] = rng.normal(0.0, 1.0, net.head_w.shape)
+    *hidden, (w, _) = net.layers
+    w[...] = rng.normal(0.0, 1.0, w.shape)
     sets = [LabeledSet(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3) for n in (25, 24)]
     h = np.concatenate([s.features for s in sets])
-    for w, b in net.layers:
+    for w, b in hidden:
         b[...] = -np.median(h @ w, axis=0)
         h = np.maximum(h @ w + b, 0.0)
     return net, sets

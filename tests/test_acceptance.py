@@ -6,6 +6,7 @@ layers); pairing means every variant sees identical data, init, and batch
 order per seed, so differences are attributable to the loss alone.
 """
 
+import json
 import time
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ import pytest
 
 from bdrlab.cli import build_stream, main
 from bdrlab.config import ExperimentConfig
-from bdrlab.reporting import read_report
 from bdrlab.training import first_phase, run_experiment
 from bdrlab import verification
 
@@ -192,7 +192,7 @@ seeds = 0
         out = tmp_path / sub
         assert main(["run", str(config_path), "--out", str(out)]) == 0
         digests.append(
-            tuple(read_report(out / name)["body_sha256"] for name in ("ce_0.json", "bdr_0.json"))
+            tuple(json.loads((out / name).read_text())["body_sha256"] for name in ("ce_0.json", "bdr_0.json"))
         )
     assert digests[0] == digests[1]
     print(f"PASS criterion 11 (determinism): body hashes identical across executions")

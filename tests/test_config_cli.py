@@ -16,7 +16,7 @@ import pytest
 import bdrlab
 from bdrlab.cli import build_stream, main
 from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, parse_value
-from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, _csv_text, body_hash, read_report
+from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, _csv_text, body_hash
 from bdrlab.training import StepRecord, first_phase, run_experiment
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
@@ -167,7 +167,7 @@ class TestCmdRun:
         for sub in ("a", "b"):
             out = tmp_path / sub
             assert main(["run", str(config_path), "--out", str(out)]) == 0
-            doc = read_report(out / "bdr_0.json")
+            doc = json.loads((out / "bdr_0.json").read_text())
             assert doc["body_sha256"] == body_hash(doc["body"])
             hashes.append(doc["body_sha256"])
         assert hashes[0] == hashes[1]
@@ -184,8 +184,8 @@ class TestCmdRun:
         parallel_lines = capsys.readouterr().out.splitlines()
         pairs = [(v, s) for v in ("ce", "cr", "bdr") for s in (0, 1)]
         for variant, seed in pairs:
-            a = read_report(serial / f"{variant}_{seed}.json")["body_sha256"]
-            b = read_report(parallel / f"{variant}_{seed}.json")["body_sha256"]
+            a = json.loads((serial / f"{variant}_{seed}.json").read_text())["body_sha256"]
+            b = json.loads((parallel / f"{variant}_{seed}.json").read_text())["body_sha256"]
             assert a == b
         # one line per pair, in (variant, seed) order, whatever the job count
         assert [tuple(line.split("\t")[:2]) for line in serial_lines] == [(v, str(s)) for v, s in pairs]
@@ -316,7 +316,7 @@ class TestCmdRun:
         config_path.write_text(SMALL_CONFIG)
         out = tmp_path / "out"
         main(["run", str(config_path), "--out", str(out)])
-        body = read_report(out / "bdr_0.json")["body"]
+        body = json.loads((out / "bdr_0.json").read_text())["body"]
         assert body["schema_version"] == 2
         assert body["config"]["classes"] == 4
         for entry in body["phases"]:
@@ -394,7 +394,7 @@ class TestCmdRun:
             )
             out = tmp_path / f"tau{tau}"
             assert main(["run", str(config_path), "--out", str(out)]) == 0
-            body = read_report(out / "cr_0.json")["body"]
+            body = json.loads((out / "cr_0.json").read_text())["body"]
             assert body["config"]["tau"] == float(tau)
             del body["config"]
             bodies.append(body)
@@ -678,7 +678,7 @@ seeds = 0
         config_path, _ = self._write_idx_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", str(config_path), "--out", str(out)]) == 0
-        body = read_report(out / "ce_0.json")["body"]
+        body = json.loads((out / "ce_0.json").read_text())["body"]
         assert len(body["phases"]) == 2
 
     def test_class_count_the_protocol_cannot_split_is_a_config_error(self, tmp_path, capsys, no_training):

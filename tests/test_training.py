@@ -59,19 +59,35 @@ def flatten(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
 
+def arrays(pairs):
+    """The arrays of per-layer ``(weight, bias)`` pairs, in ``flat``'s order."""
+    return [p for pair in pairs for p in pair]
+
+
 class TestClassifier:
     def test_parameters_are_float64_arrays_and_copies_share_none(self):
         model = Classifier(4, (8, 6), 3, rng_for(0, INIT, 0))
         clone = model.copy()
-        for p, q in zip(model.params(), clone.params()):
+        for p, q in zip(arrays(model.layers), arrays(clone.layers)):
             assert type(p) is np.ndarray and p.dtype == np.float64
             assert np.array_equal(p, q) and not np.shares_memory(p, q)
 
     def test_parameters_are_views_of_one_flat_vector(self):
         model = Classifier(4, (8, 6), 3, rng_for(0, INIT, 0))
-        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
-        assert all(np.shares_memory(p, model.flat) for p in model.params())
-        assert np.array_equal(flatten(model.params()), model.flat)
+        for classes in (3, 5):  # as built, then with a grown head
+            if classes > model.n_classes:
+                model.expand_head(classes - model.n_classes, rng_for(0, INIT, 1))
+            assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+            assert [w.shape for w, _ in model.layers] == [(4, 8), (8, 6), (6, classes)]
+            assert all(np.shares_memory(p, model.flat) for p in arrays(model.layers))
+            assert np.array_equal(flatten(arrays(model.layers)), model.flat)
+            # any vector laid out as flat is cut the same way: its views tile
+            # it, each entry once and in order
+            vec = np.arange(model.flat.size, dtype=np.float64)
+            parts = arrays(model.views(vec))
+            assert [p.shape for p in parts] == [p.shape for p in arrays(model.layers)]
+            assert all(np.shares_memory(p, vec) for p in parts)
+            assert np.array_equal(flatten(parts), vec)
 
     @pytest.mark.parametrize(
         "duplicate",
@@ -83,10 +99,10 @@ class TestClassifier:
         before = model.flat.copy()
         clone = duplicate(model)
         assert not np.shares_memory(clone.flat, model.flat)
-        assert all(np.shares_memory(p, clone.flat) for p in clone.params())
+        assert all(np.shares_memory(p, clone.flat) for p in arrays(clone.layers))
         SGD(clone.flat, 0.5).step(np.ones_like(clone.flat))
         assert np.array_equal(model.flat, before)
-        for moved, kept in zip(clone.params(), model.params()):
+        for moved, kept in zip(arrays(clone.layers), arrays(model.layers)):
             assert np.array_equal(moved, kept - 0.5)
 
     def test_relu_equals_the_masked_select_bit_for_bit(self):
@@ -131,7 +147,8 @@ class TestExpandHead:
         # sigma = 0.01 head columns against unit-norm features: |z| < 0.1 is a 10-sigma event
         features = rng.standard_normal((50, 8))
         features /= np.linalg.norm(features, axis=1, keepdims=True)
-        logits = features @ model.head_w[:, 2:] + model.head_b[2:]
+        w, b = model.layers[-1]
+        logits = features @ w[:, 2:] + b[2:]
         assert np.abs(logits).max() < 0.1
 
     def test_two_small_expansions_match_one_big_for_old_rows(self):
@@ -140,17 +157,17 @@ class TestExpandHead:
         a.expand_head(2, rng_for(7, INIT, 1))
         a.expand_head(2, rng_for(7, INIT, 2))
         b.expand_head(4, rng_for(7, INIT, 1))
-        np.testing.assert_array_equal(a.head_w[:, :2], b.head_w[:, :2])
+        np.testing.assert_array_equal(a.layers[-1][0][:, :2], b.layers[-1][0][:, :2])
 
     def test_grown_head_is_a_view_that_a_step_moves(self):
         model = Classifier(4, (8,), 2, rng_for(0, INIT, 0))
         model.expand_head(3, rng_for(0, INIT, 1))
-        assert model.flat.size == sum(p.size for p in model.params())
-        assert all(np.shares_memory(p, model.flat) for p in model.params())
-        head_w, head_b = model.head_w.copy(), model.head_b.copy()
+        assert model.flat.size == sum(p.size for p in arrays(model.layers))
+        assert all(np.shares_memory(p, model.flat) for p in arrays(model.layers))
+        w, b = (p.copy() for p in model.layers[-1])
         SGD(model.flat, 0.25).step(np.ones_like(model.flat))
-        assert np.array_equal(model.head_w, head_w - 0.25)
-        assert np.array_equal(model.head_b, head_b - 0.25)
+        assert np.array_equal(model.layers[-1][0], w - 0.25)
+        assert np.array_equal(model.layers[-1][1], b - 0.25)
 
     def test_zero_growth_rejected(self):
         model = Classifier(3, (6,), 2, rng_for(0, INIT, 0))
@@ -218,13 +235,19 @@ def _one_class_set(n=40, dim=3, seed=0):
     return LabeledSet(rng.standard_normal((n, dim)), np.zeros(n, dtype=np.int64), 1)
 
 
-def _tape_logits(params, x):
+def _tape_layers(model):
+    # the classifier's parameters as tape leaves, in ``Classifier.layers`` pairs
+    return [tuple(Tensor(p, requires_grad=True) for p in layer) for layer in model.layers]
+
+
+def _tape_logits(layers, x):
     # the classifier's forward pass built on the autodiff tape, from its
-    # parameters in ``Classifier.params()`` order
+    # ``(weight, bias)`` pairs, head last
     h = Tensor(x)
-    for w, b in zip(params[:-2:2], params[1:-2:2]):
+    for w, b in layers[:-1]:
         h = relu(matmul(h, w) + b)
-    return matmul(h, params[-2]) + params[-1]
+    w, b = layers[-1]
+    return matmul(h, w) + b
 
 
 class TestKernelAgainstTape:
@@ -253,14 +276,14 @@ class TestKernelAgainstTape:
             dlogits = dlogits + distill_loss(acts.logits, teacher_targets(teacher_logits, 2.0), 2.0, 0.7)[1]
 
         # the reference: one tape backward with the summed adjoint at the logits
-        params = [Tensor(p, requires_grad=True) for p in model.params()]
-        tape_logits = _tape_logits(params, x)
+        layers = _tape_layers(model)
+        tape_logits = _tape_logits(layers, x)
         assert np.array_equal(acts.logits, tape_logits.data)
         (tape_logits * dlogits).sum().backward()
-        expected = [p.grad for p in params]
+        expected = [p.grad for p in arrays(layers)]
 
-        grads = model.views(backward(model, acts, dlogits)[0])
-        assert [g.shape for g in grads] == [p.shape for p in model.params()]
+        grads = arrays(model.views(backward(model, acts, dlogits)[0]))
+        assert [g.shape for g in grads] == [p.shape for p in arrays(model.layers)]
         for got, want in zip(grads, expected):
             assert np.array_equal(got, want)
 
@@ -306,11 +329,11 @@ class TestKernelAgainstTape:
         # reference: the sub-batch's summed loss through its own tape pass
         if not rows.any():
             return np.zeros(model.flat.size)
-        params = [Tensor(p, requires_grad=True) for p in model.params()]
-        sub_logits = _tape_logits(params, x[rows])
+        layers = _tape_layers(model)
+        sub_logits = _tape_logits(layers, x[rows])
         _, sub_dlogits = loss_fn(sub_logits.data, y[rows])
         (sub_logits * (sub_dlogits * float(rows.sum()))).sum().backward()
-        return flatten([p.grad for p in params])
+        return flatten([p.grad for p in arrays(layers)])
 
 
 class TestTrainPhase:
@@ -362,10 +385,10 @@ class TestTrainPhase:
         data = LabeledSet(data.features * 1e200, data.labels, data.class_count)
         config = small_config(epochs=1, batch_size=8, hidden=(16,))
         model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
-        before = [p.copy() for p in model.params()]
+        before = [p.copy() for p in arrays(model.layers)]
         with pytest.raises(DivergenceError, match="non-finite gradient at phase 0, step"):
             train_phase(model, data, config, 0)
-        for p, unchanged in zip(model.params(), before):
+        for p, unchanged in zip(arrays(model.layers), before):
             np.testing.assert_array_equal(p, unchanged)
 
     @pytest.mark.filterwarnings("error")
@@ -689,11 +712,11 @@ class TestSharedFirstPhase:
     def test_unknown_variant_rejected_and_record_kept(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=14), 2, 2, seed=14)
         start = first_phase(stream, small_config())
-        kept = copy.deepcopy((start.model.params(), start.memory.index_map(), start.trace, start.entry))
+        kept = copy.deepcopy((arrays(start.model.layers), start.memory.index_map(), start.trace, start.entry))
         with pytest.raises(ValueError, match="unknown loss variant 'focal'"):
             run_experiment(start, "focal")
         params, index_map, trace, entry = kept
-        assert all(np.array_equal(p, q) for p, q in zip(start.model.params(), params))
+        assert all(np.array_equal(p, q) for p, q in zip(arrays(start.model.layers), params))
         assert (start.memory.index_map(), start.trace, start.entry) == (index_map, trace, entry)
         assert run_experiment(start, "ce").report == full_run(stream, small_config()).report
 
@@ -719,8 +742,8 @@ class TestOldPhaseCurvature:
 
     def test_problem_writes_through_the_parameter_views(self, problem):
         net = problem[0]
-        assert all(np.shares_memory(p, net.flat) for p in net.params())
-        assert np.array_equal(flatten(net.params()), net.flat)
+        assert all(np.shares_memory(p, net.flat) for p in arrays(net.layers))
+        assert np.array_equal(flatten(arrays(net.layers)), net.flat)
 
     def test_a_product_allocates_no_row_sized_array(self):
         # two old phases of 600 and 300 rows through hidden layers of 32
@@ -749,7 +772,7 @@ class TestOldPhaseCurvature:
         on_kink = 0
         for s in sets:
             acts = net.forward(s.features)
-            on_kink += sum(int((h @ w + b == 0.0).sum()) for h, (w, b) in zip(acts.inputs, net.layers))
+            on_kink += sum(int((h @ w + b == 0.0).sum()) for h, (w, b) in zip(acts.inputs, net.layers[:-1]))
         assert on_kink >= 12
 
     def test_frozen_mask_forward_with_the_computed_masks_is_the_forward_pass(self, problem):
@@ -788,9 +811,9 @@ class TestOldPhaseCurvature:
         stream = split_phases(make_gaussian_mixture(6, 30, 4, 3.0, seed=17), 2, 2, seed=17)
         start = first_phase(stream, small_config())
         model = start.model.copy()
-        before = [p.copy() for p in model.params()]
+        before = [p.copy() for p in arrays(model.layers)]
         _old_phase_curvature(model, stream.phases[:1], seed=0)
-        assert all(np.array_equal(p, q) for p, q in zip(model.params(), before))
+        assert all(np.array_equal(p, q) for p, q in zip(arrays(model.layers), before))
 
 
 class TestTrainConfigValidation:
