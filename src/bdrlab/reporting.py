@@ -13,7 +13,7 @@ import os
 import tempfile
 from dataclasses import fields
 
-BALANCE_COLUMNS = ("phase", "step", "class", "psi", "omega", "pi_hat")
+BALANCE_COLUMNS = ("phase", "step", "class", "omega", "pi_hat")
 
 BOXPLOT_COLUMNS = ("phase", "min", "q1", "median", "q3", "max", "outlier_count")
 

@@ -262,7 +262,7 @@ class StepRecord:
 @dataclass
 class StepTrace:
     rows: list = field(default_factory=list)
-    balance_rows: list = field(default_factory=list)  # (phase, step, class, psi, omega, pi_hat)
+    balance_rows: list = field(default_factory=list)  # (phase, step, class, omega, pi_hat)
 
     def column(self, name):
         return np.asarray([getattr(r, name) for r in self.rows])
@@ -297,8 +297,7 @@ def _phase_loss(variant, model, data: LabeledSet, config):
 
     def track(phase, step, acts, y):
         omega = balance.momentum_update(stats, schedule, getattr(acts, source), y)
-        psi, pi_hat = schedule.priors, schedule.pi_hat
-        return [(phase, step, c, *row) for c, row in enumerate(zip(psi.tolist(), omega.tolist(), pi_hat.tolist()))]
+        return [(phase, step, c, *row) for c, row in enumerate(zip(omega.tolist(), schedule.pi_hat.tolist()))]
 
     return (lambda logits, y: balance.bdr_loss(logits, y, schedule)), track
 
@@ -359,47 +358,48 @@ def train_phase(model, data: LabeledSet, config, phase_index, variant=LOSS_CE):
     are the replayed exemplars, which ``merged_training_set`` puts first.
     That cross-entropy takes no part in the update.
 
-    The steps run with numpy's overflow and invalid-value warnings off: a
-    step whose loss or gradient record is non-finite ends, before its
-    update, as a ``DivergenceError``. An epoch in which no unit of the last
-    hidden layer fires on any batch ends as a ``DegenerateTrainingError``.
+    The whole phase, set-up included, runs with numpy's overflow and
+    invalid-value warnings off: a step whose loss or gradient record is
+    non-finite ends, before its update, as a ``DivergenceError``. An epoch
+    in which no unit of the last hidden layer fires on any batch ends as a
+    ``DegenerateTrainingError``.
     """
     feats = data.features
     labels = data.labels
     n = data.n
     old_classes = model.n_classes if data.class_count > model.n_classes else 0
     old_loss = None  # (logits, batch rows) -> (loss_old, its dlogits or None)
-    if old_classes:
-        if config.distill_weight > 0:
-            target_logp, target = teacher_targets(
-                np.concatenate(
-                    [model.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
-                ),
-                config.distill_temperature,
-            )
-
-            def old_loss(logits, idx):
-                return distill_loss(
-                    logits, (target_logp[idx], target[idx]), config.distill_temperature, config.distill_weight
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value ends as a DivergenceError
+        if old_classes:
+            if config.distill_weight > 0:
+                target_logp, target = teacher_targets(
+                    np.concatenate(
+                        [model.forward(feats[i : i + config.batch_size]).logits for i in range(0, n, config.batch_size)]
+                    ),
+                    config.distill_temperature,
                 )
 
-        model.expand_head(data.class_count - old_classes, rng_for(config.seed, INIT, phase_index))
-    loss_fn, track = _phase_loss(variant, model, data, config)
-    replayed = labels < old_classes
-    if old_loss is None and replayed.any():
-        replay_x, replay_y, zero = feats[replayed], labels[replayed], np.zeros(model.n_classes)
+                def old_loss(logits, idx):
+                    return distill_loss(
+                        logits, (target_logp[idx], target[idx]), config.distill_temperature, config.distill_weight
+                    )
 
-        def old_loss(logits, idx):
-            return ce_with_offset(model.forward(replay_x).logits, zero, replay_y)[0], None
+            model.expand_head(data.class_count - old_classes, rng_for(config.seed, INIT, phase_index))
+        loss_fn, track = _phase_loss(variant, model, data, config)
+        replayed = labels < old_classes
+        if old_loss is None and replayed.any():
+            replay_x, replay_y, zero = feats[replayed], labels[replayed], np.zeros(model.n_classes)
 
-    optimizer = SGD(model.flat, config.lr, config.sgd_momentum)
-    grad = np.empty_like(model.flat)  # each step's gradient and its new/old split, reused by every step
-    split = np.empty((2, grad.size))
-    rng = rng_for(config.seed, BATCH, phase_index)
-    trace = StepTrace()
-    decay_from = math.ceil(config.epochs * LR_DECAY_POINT)
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value ends as a DivergenceError
+            def old_loss(logits, idx):
+                return ce_with_offset(model.forward(replay_x).logits, zero, replay_y)[0], None
+
+        optimizer = SGD(model.flat, config.lr, config.sgd_momentum)
+        grad = np.empty_like(model.flat)  # each step's gradient and its new/old split, reused by every step
+        split = np.empty((2, grad.size))
+        rng = rng_for(config.seed, BATCH, phase_index)
+        trace = StepTrace()
+        decay_from = math.ceil(config.epochs * LR_DECAY_POINT)
+        step = 0
         for epoch in range(config.epochs):
             optimizer.lr = config.lr * (LR_DECAY if epoch >= decay_from else 1.0)
             perm = rng.permutation(n)

@@ -298,6 +298,18 @@ class TestCmdRun:
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("training diverged: "), done.stderr
 
+    def test_overflowing_teacher_temperature_is_one_line_and_exit_one(self, tmp_path):
+        # the teacher's tempered logits overflow before the first step; out of
+        # process, so a numpy warning from the phase's set-up would reach stderr
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(
+            BENCHMARK_CONFIG.read_text().replace("distill_temperature = 2.0", "distill_temperature = 1e-310")
+        )
+        done = _python("-m", "bdrlab.cli", "run", str(config_path), "--out", str(tmp_path / "out"))
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged: "), done.stderr
+
     def test_run_never_imports_scipy_optimize(self, tmp_path):
         # only the balanced-risk oracle behind `verify` needs scipy.optimize
         config_path = tmp_path / "exp.cfg"
@@ -335,7 +347,7 @@ class TestCmdRun:
         assert (out / "bdr_0_balance.csv").exists()
         assert not (out / "ce_0_balance.csv").exists()
         header = (out / "bdr_0_balance.csv").read_text().splitlines()[0]
-        assert header == "phase,step,class,psi,omega,pi_hat"
+        assert header == "phase,step,class,omega,pi_hat"
 
     def test_balance_rows_are_keyed_by_phase_and_step(self, tmp_path):
         # every phase counts its steps from 0, so two phases share step numbers

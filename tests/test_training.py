@@ -403,6 +403,16 @@ class TestTrainPhase:
         with pytest.raises(DivergenceError, match="phase 1, step"):
             train_phase(model, data, config, 1, variant)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_teacher_temperature_diverges_without_a_warning(self):
+        # the teacher's tempered logits overflow in the phase's set-up, which
+        # must end as the typed divergence, not as a numpy warning first
+        data = make_gaussian_mixture(4, 20, 6, 3.0, seed=4)
+        config = small_config(distill_weight=1.0, distill_temperature=1e-310)
+        model = Classifier(6, config.hidden, 2, rng_for(0, INIT, 0))
+        with pytest.raises(DivergenceError, match="phase 1, step 0"):
+            train_phase(model, data, config, 1)
+
     def test_trace_identity_links_contributions_to_total(self):
         # recorded ||grad||^2 equals the recomputation from the stored
         # new/old contribution sums
@@ -664,12 +674,16 @@ class TestRunExperiment:
         rows = result.traces[1].balance_rows
         assert rows, "incremental phase must dump the balance trajectory"
         assert {r[0] for r in rows} == {1}
-        steps = {r[1] for r in rows}
-        classes = {r[2] for r in rows}
-        assert classes == set(range(4))
-        psi = np.array([r[3] for r in rows if r[1] == min(steps)])
-        assert psi.sum() == pytest.approx(1.0, abs=1e-9)
-
+        assert {r[2] for r in rows} == set(range(4))
+        sums = {}  # (phase, step) -> [sum of omega, sum of pi_hat]
+        for phase, step, _, omega, pi_hat in rows:
+            total = sums.setdefault((phase, step), [0.0, 0.0])
+            total[0] += omega
+            total[1] += pi_hat
+        assert len(sums) == len(result.traces[1].rows)  # every step writes its rows
+        for omega_sum, pi_hat_sum in sums.values():
+            assert omega_sum == pytest.approx(1.0, abs=1e-9)
+            assert pi_hat_sum == pytest.approx(1.0, abs=1e-9)
 
     def test_logit_variance_source_drives_the_schedule(self):
         stream = split_phases(make_gaussian_mixture(4, 30, 4, 3.0, seed=10), 2, 2, seed=10)
@@ -677,7 +691,7 @@ class TestRunExperiment:
         for source in ("feature", "logit"):
             rows = full_run(stream, small_config(variance_source=source), "bdr").traces[1].balance_rows
             assert rows and np.isfinite(np.asarray(rows, dtype=np.float64)).all()
-            omegas[source] = np.array([row[4] for row in rows])
+            omegas[source] = np.array([omega for _, _, _, omega, _ in rows])
         assert omegas["feature"].shape == omegas["logit"].shape
         assert not np.array_equal(omegas["feature"], omegas["logit"])
 
