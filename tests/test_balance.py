@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdrlab import balance
+from bdrlab import balance, verification
 from bdrlab.balance import (
     ClassStats,
     bdr_loss,
@@ -18,7 +18,7 @@ from bdrlab.config import ExperimentConfig
 from bdrlab.data import LabeledSet
 from bdrlab.seeding import INIT, rng_for
 from bdrlab.training import LOSS_CR, Classifier, _phase_loss
-from bdrlab.verification import balanced_risk_equivalence, risk_decision_rule
+from bdrlab.verification import _point_risk_minimizer, balanced_risk_equivalence, risk_decision_rule
 
 
 class TestClassPriors:
@@ -305,19 +305,19 @@ class TestStatsFromPass:
 class TestBalancedRiskEquivalence:
     def test_skewed_priors_agreement(self):
         table = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
-        assert balanced_risk_equivalence(table, np.array([0.9, 0.1]), trials=5, seed=0)
+        assert balanced_risk_equivalence(table, np.array([0.9, 0.1]), seed=0)
 
     def test_symmetric_uniform_trivial(self):
         table = np.array([[0.8, 0.2], [0.2, 0.8]])
-        assert balanced_risk_equivalence(table, np.array([0.5, 0.5]), trials=5, seed=0)
+        assert balanced_risk_equivalence(table, np.array([0.5, 0.5]), seed=0)
 
     def test_unadjusted_disagrees_adjusted_agrees(self):
         table = np.array([[0.6, 0.4], [0.4, 0.6]])
         priors = np.array([0.9, 0.1])
         balanced = np.argmax(table, axis=0)
-        plain = risk_decision_rule(table, priors, adjusted=False, trials=5, seed=0)
+        plain = risk_decision_rule(table, priors, adjusted=False, seed=0)
         assert np.any(plain != balanced)
-        assert balanced_risk_equivalence(table, priors, trials=5, seed=0)
+        assert balanced_risk_equivalence(table, priors, seed=0)
 
     def test_malformed_table_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -327,3 +327,37 @@ class TestBalancedRiskEquivalence:
         table = np.full((6, 3), 1 / 3)
         with pytest.raises(ValueError):
             balanced_risk_equivalence(table, np.full(6, 1 / 6))
+
+    def test_near_tie_is_decided_by_the_likelier_class(self):
+        # at point 0 class 1 leads class 0 by 6.9e-5, relative
+        table = np.array([[0.01536533, 0.98463467], [0.01536639, 0.98463361]])
+        priors = np.array([0.5, 0.5])
+        np.testing.assert_array_equal(np.argmax(table, axis=0), [1, 0])
+        for seed in range(10):
+            np.testing.assert_array_equal(risk_decision_rule(table, priors, seed=seed), [1, 0])
+            np.testing.assert_array_equal(risk_decision_rule(table, priors, adjusted=False, seed=seed), [1, 0])
+            assert balanced_risk_equivalence(table, priors, seed=seed)
+
+    def test_minimizer_matches_the_weights_from_random_starts(self):
+        # the risk's minimum puts softmax(v + a) at w / sum(w); a zero weight
+        # has its minimum at infinity, which the solve approaches to tolerance
+        rng = np.random.default_rng(0)
+        zeros = 0
+        for case in range(300):
+            k = int(rng.integers(2, 6))
+            weights = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.7)
+            weights[rng.integers(k)] += 0.05
+            zeros += int(np.sum(weights == 0.0))
+            log_adjust = np.log(rng.dirichlet(np.ones(k))) if case % 2 else np.zeros(k)
+            scores = _point_risk_minimizer(weights, log_adjust, rng) + log_adjust
+            softmax = np.exp(scores - scores.max())
+            np.testing.assert_allclose(softmax / softmax.sum(), weights / weights.sum(), rtol=0.0, atol=1e-7)
+        assert zeros > 0
+
+    def test_exhausted_newton_budget_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(verification, "_NEWTON_ITERATIONS", 1)
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            risk_decision_rule(np.array([[0.6, 0.4], [0.4, 0.6]]), np.array([0.9, 0.1]))
+        check = verification.check_balanced_risk()
+        assert not check.passed
+        assert "did not converge" in check.detail

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import csv
 import json
@@ -317,6 +318,16 @@ class TestCmdRun:
         script = (
             "import sys\nfrom bdrlab.cli import main\n"
             f"code = main(['run', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print('scipy.optimize' in sys.modules)\nsys.exit(code)\n"
+        )
+        done = _python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_verify_never_imports_scipy_optimize(self):
+        # the balanced-risk oracle solves its points by Newton in numpy
+        script = (
+            "import sys\nfrom bdrlab.cli import main\ncode = main(['verify'])\n"
             "print('scipy.optimize' in sys.modules)\nsys.exit(code)\n"
         )
         done = _python("-c", script)
@@ -752,6 +763,27 @@ class TestCmdVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9
         assert all(line.startswith("PASS\t") for line in lines)
+
+    def test_a_failed_check_exits_one(self, capsys, monkeypatch):
+        from bdrlab import verification
+
+        monkeypatch.setattr(verification, "run_all", lambda: [verification.CheckResult("stub", False, "forced")])
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["FAIL\tstub\tforced"]
+
+
+class TestDependencies:
+    def test_scipy_is_imported_only_for_lanczos(self):
+        # one import site, so the dependency can be dropped in one change
+        root = Path(__file__).resolve().parents[1]
+        sites = set()
+        for path in [*sorted((root / "src" / "bdrlab").glob("*.py")), *sorted((root / "tests").glob("*.py"))]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                sites.update((path.name, name) for name in names if name.split(".")[0] == "scipy")
+        assert sites == {("diagnostics.py", "scipy.linalg")}
 
 
 class TestOutputsIsolated:
