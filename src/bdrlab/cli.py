@@ -26,10 +26,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 
 from .balance import DegenerateTrainingError
-from .config import _SCHEMA, ConfigError, ExperimentConfig, check_class_count, load_config, parse_value
-from .data import IdxFormatError, ProtocolError, load_idx, make_gaussian_mixture, make_rings, phase_sizes, split_phases
+from .config import ConfigError, ExperimentConfig, check_class_count, load_config, parse_value
+from .data import IdxFormatError, load_idx, make_gaussian_mixture, make_rings, split_phases
 from .reporting import write_balance_csv, write_boxplot_csv, write_report, write_step_csv, write_sweep_csv
-from .training import LOSS_BDR, DivergenceError, first_phase, run_experiment
+from .training import DivergenceError, first_phase, run_experiment
 
 # sweep name -> config attribute (protocol letters follow the benchmark notation)
 SWEEP_PARAMS = {
@@ -83,7 +83,7 @@ def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
         write_boxplot_csv(os.path.join(out_dir, f"{stem}_boxplot.csv"), boxes)
         trace_files["boxplot"] = f"{stem}_boxplot.csv"
     body = dict(result.report)
-    body["config"] = cfg.as_dict()
+    body["config"] = cfg.as_trained(variant)
     body["traces"] = trace_files
     wall = time.perf_counter() - started
     write_report(os.path.join(out_dir, f"{stem}.json"), body, wall)
@@ -194,21 +194,6 @@ def _cmd_verify(args):
     return 0 if failures == 0 else 1
 
 
-def _as_trained(cfg: ExperimentConfig):
-    """``cfg`` as its runs train it: the ``[balance]`` keys, which act on bdr
-    only, at their defaults when no variant is bdr, and B set to the size of
-    its first phase, S when B is 0. The size does not depend on the class
-    count: an idx config, whose file is not read here, uses ``classes`` as a
-    stand-in and keeps its B when that does not split."""
-    if LOSS_BDR not in cfg.variants:
-        cfg = replace(cfg, **{attr: getattr(ExperimentConfig, attr) for attr, _ in _SCHEMA["balance"].values()})
-    try:
-        first = phase_sizes(cfg.classes, cfg.initial_classes, cfg.increment)[0]
-    except ProtocolError:
-        return cfg
-    return replace(cfg, initial_classes=first)
-
-
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     if args.param not in SWEEP_PARAMS:
@@ -228,7 +213,7 @@ def _cmd_sweep(args):
             for earlier, earlier_cfg in swept_configs:
                 if value == earlier:
                     raise ConfigError(f"{value} listed more than once")
-                if _as_trained(swept) == _as_trained(earlier_cfg):
+                if all(swept.as_trained(v) == earlier_cfg.as_trained(v) for v in cfg.variants):
                     raise ConfigError(f"trains the same protocol as {args.param}={earlier}")
             swept_configs.append((value, swept))
         except ConfigError as exc:

@@ -2,10 +2,10 @@
 
 Sections mirror the package's modules. Unknown sections or keys are
 rejected by name, ``[DEFAULT]`` included. Each setting is declared once, as
-an ``ExperimentConfig`` field that carries its section, key, default and
-parser; ``_SCHEMA`` is read from those fields. The class checks every
-setting when it is built, so a bad value fails the same way from a file, a
-``sweep --values`` entry or Python.
+an ``ExperimentConfig`` field that carries its section, key, default,
+parser and the runs it acts on; ``_SCHEMA`` is read from those fields. The
+class checks every setting when it is built, so a bad value fails the same
+way from a file, a ``sweep --values`` entry or Python.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .data import ProtocolError, phase_sizes
 from .memory import GLOBAL, HERDING, PER_CLASS, RANDOM
-from .training import LOSS_VARIANTS
+from .training import LOSS_BDR, LOSS_VARIANTS
 
 
 class ConfigError(ValueError):
@@ -34,10 +34,11 @@ def _parse_int_list(text):
     return tuple(int(p) for p in _parse_str_list(text))
 
 
-def _key(section, key, default, parse):
+def _key(section, key, default, parse, acts_on=()):
     """The field of the config key ``key`` in ``[section]``, read by ``parse``.
-    Its default stays a class attribute."""
-    return field(default=default, metadata={"section": section, "key": key, "parse": parse})
+    Its default stays a class attribute. ``acts_on`` names the loss variants
+    or dataset kinds the key acts on; empty, it acts on every run."""
+    return field(default=default, metadata={"section": section, "key": key, "parse": parse, "acts_on": acts_on})
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,13 @@ class ExperimentConfig:
     to ``run_experiment``."""
 
     dataset_kind: str = _key("dataset", "kind", "gaussian", str.strip)
-    classes: int = _key("dataset", "classes", 8, int)
-    per_class: int = _key("dataset", "per_class", 120, int)
-    dim: int = _key("dataset", "dim", 8, int)
-    separation: float = _key("dataset", "separation", 2.25, float)
-    ring_noise: float = _key("dataset", "noise", 0.1, float)
-    idx_images: str = _key("dataset", "images", "", str.strip)
-    idx_labels: str = _key("dataset", "labels", "", str.strip)
+    classes: int = _key("dataset", "classes", 8, int, acts_on=("gaussian", "rings"))
+    per_class: int = _key("dataset", "per_class", 120, int, acts_on=("gaussian", "rings"))
+    dim: int = _key("dataset", "dim", 8, int, acts_on=("gaussian",))
+    separation: float = _key("dataset", "separation", 2.25, float, acts_on=("gaussian",))
+    ring_noise: float = _key("dataset", "noise", 0.1, float, acts_on=("rings",))
+    idx_images: str = _key("dataset", "images", "", str.strip, acts_on=("idx",))
+    idx_labels: str = _key("dataset", "labels", "", str.strip, acts_on=("idx",))
     initial_classes: int = _key("protocol", "initial_classes", 4, int)
     increment: int = _key("protocol", "increment", 2, int)
     memory_mode: str = _key("memory", "mode", PER_CLASS, str.strip)
@@ -66,12 +67,12 @@ class ExperimentConfig:
     sgd_momentum: float = _key("train", "momentum", 0.9, float)
     distill_weight: float = _key("train", "distill_weight", 1.0, float)
     distill_temperature: float = _key("train", "distill_temperature", 2.0, float)
-    variance_source: str = _key("train", "variance_source", "feature", str.strip)
+    variance_source: str = _key("train", "variance_source", "feature", str.strip, acts_on=(LOSS_BDR,))
     hidden: tuple = _key("train", "hidden", (64, 64), _parse_int_list)
-    m: float = _key("balance", "m", 0.8, float)
-    m_prime: float = _key("balance", "m_prime", 0.8, float)
-    beta: float = _key("balance", "beta", 0.99, float)
-    tau: float = _key("balance", "tau", 1.0, float)
+    m: float = _key("balance", "m", 0.8, float, acts_on=(LOSS_BDR,))
+    m_prime: float = _key("balance", "m_prime", 0.8, float, acts_on=(LOSS_BDR,))
+    beta: float = _key("balance", "beta", 0.99, float, acts_on=(LOSS_BDR,))
+    tau: float = _key("balance", "tau", 1.0, float, acts_on=(LOSS_BDR,))
     variants: tuple = _key("run", "variants", ("ce", "bdr"), _parse_str_list)
     seeds: tuple = _key("run", "seeds", (0,), _parse_int_list)
     out: str = _key("run", "out", "runs", str.strip)
@@ -138,12 +139,20 @@ class ExperimentConfig:
         if kind != "idx":  # an idx file's class count is checked once the file is read
             check_class_count(self, self.classes)
 
-    def as_dict(self):
-        """Every config key's value, by attribute, in ``_SCHEMA`` order."""
+    def as_trained(self, variant):
+        """The settings that act on a run of ``variant``, by attribute, in
+        ``_SCHEMA`` order: every key outside ``[run]`` that acts on the
+        variant or the dataset kind, with B as the size of the first phase
+        (S when B is 0). Two runs of one seed with equal settings train alike."""
         out = {}
-        for attr in _KEY_OF:
-            value = getattr(self, attr)
-            out[attr] = list(value) if isinstance(value, tuple) else value
+        for f in fields(self):
+            if f.metadata.get("section", "run") == "run":  # the run list, or ``seed``, which is no key
+                continue
+            acts_on = f.metadata["acts_on"]
+            if not acts_on or variant in acts_on or self.dataset_kind in acts_on:
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        out["initial_classes"] = self.initial_classes or self.increment
         return out
 
 

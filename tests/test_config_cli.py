@@ -18,10 +18,20 @@ import bdrlab
 from bdrlab.cli import build_stream, main
 from bdrlab.config import _SCHEMA, ConfigError, ExperimentConfig, parse_config, parse_value
 from bdrlab.reporting import BALANCE_COLUMNS, BOXPLOT_COLUMNS, SWEEP_COLUMNS, _csv_text, body_hash
-from bdrlab.training import StepRecord, first_phase, run_experiment
+from bdrlab.training import LOSS_BDR, LOSS_VARIANTS, StepRecord, first_phase, run_experiment
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every config key's attribute, in _SCHEMA order
+CONFIG_ATTRS = [attr for keys in _SCHEMA.values() for attr, _ in keys.values()]
+# the keys that act on one variant or some dataset kinds only
+BDR_ONLY_KEYS = {"variance_source", "m", "m_prime", "beta", "tau"}
+KIND_ONLY_KEYS = {
+    "gaussian": {"classes", "per_class", "dim", "separation"},
+    "rings": {"classes", "per_class", "ring_noise"},
+    "idx": {"idx_images", "idx_labels"},
+}
 
 SMALL_CONFIG = """
 [dataset]
@@ -97,12 +107,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             parse_config("[dataset\nkind = gaussian\n")
 
-    def test_as_dict_holds_exactly_the_config_keys(self):
-        attrs = [attr for keys in _SCHEMA.values() for attr, _ in keys.values()]
-        assert list(ExperimentConfig().as_dict()) == attrs
-        assert len(attrs) == 28
+    @pytest.mark.parametrize("kind", list(KIND_ONLY_KEYS))
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_as_trained_holds_the_keys_that_act(self, variant, kind):
+        assert len(CONFIG_ATTRS) == 28
+        run_keys = {attr for attr, _ in _SCHEMA["run"].values()}
+        other_kinds = set().union(*KIND_ONLY_KEYS.values()) - KIND_ONLY_KEYS[kind]
+        dropped = run_keys | other_kinds | (set() if variant == LOSS_BDR else BDR_ONLY_KEYS)
+        cfg = ExperimentConfig(dataset_kind=kind, idx_images="images.idx", idx_labels="labels.idx")
+        assert list(cfg.as_trained(variant)) == [attr for attr in CONFIG_ATTRS if attr not in dropped]
 
-    @pytest.mark.parametrize("attr", list(ExperimentConfig().as_dict()))
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_as_trained_reads_b_zero_as_s(self, variant):
+        # B = 0 deals out S classes first, as B = S does
+        as_s = ExperimentConfig(initial_classes=2, increment=2).as_trained(variant)
+        assert ExperimentConfig(initial_classes=0, increment=2).as_trained(variant) == as_s
+        assert ExperimentConfig(initial_classes=4, increment=2).as_trained(variant) != as_s
+
+    @pytest.mark.parametrize("attr", CONFIG_ATTRS)
     def test_each_setting_parses_its_own_default(self, attr):
         # a key's parser and its default are declared together, so they must agree
         default = getattr(ExperimentConfig, attr)
@@ -311,23 +333,16 @@ class TestCmdRun:
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("training diverged: "), done.stderr
 
-    def test_run_never_imports_scipy_optimize(self, tmp_path):
-        # only the balanced-risk oracle behind `verify` needs scipy.optimize
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_command_never_imports_scipy_optimize(self, tmp_path, command):
+        # no command needs it: the balanced-risk oracle behind `verify` solves
+        # its points by Newton in numpy
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(SMALL_CONFIG)
+        argv = ["run", str(config_path), "--out", str(tmp_path / "out")] if command == "run" else ["verify"]
         script = (
             "import sys\nfrom bdrlab.cli import main\n"
-            f"code = main(['run', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-            "print('scipy.optimize' in sys.modules)\nsys.exit(code)\n"
-        )
-        done = _python("-c", script)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
-
-    def test_verify_never_imports_scipy_optimize(self):
-        # the balanced-risk oracle solves its points by Newton in numpy
-        script = (
-            "import sys\nfrom bdrlab.cli import main\ncode = main(['verify'])\n"
+            f"code = main({argv!r})\n"
             "print('scipy.optimize' in sys.modules)\nsys.exit(code)\n"
         )
         done = _python("-c", script)
@@ -418,8 +433,6 @@ class TestCmdRun:
             out = tmp_path / f"tau{tau}"
             assert main(["run", str(config_path), "--out", str(out)]) == 0
             body = json.loads((out / "cr_0.json").read_text())["body"]
-            assert body["config"]["tau"] == float(tau)
-            del body["config"]
             bodies.append(body)
             steps.append((out / "cr_0_steps.csv").read_bytes())
         assert bodies[0] == bodies[1]
@@ -791,7 +804,47 @@ class TestOutputsIsolated:
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(SMALL_CONFIG)
         out = tmp_path / "out"
-        main(["run", str(config_path), "--out", str(out)])
-        names = sorted(os.listdir(out))
-        stems = {n.split(".")[0].rsplit("_", 1)[0] for n in names if n.endswith(".json")}
-        assert stems == {"ce_0", "bdr_0"} or stems == {"ce", "bdr"}
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "bdr_0.json",
+            "bdr_0_balance.csv",
+            "bdr_0_boxplot.csv",
+            "bdr_0_steps.csv",
+            "ce_0.json",
+            "ce_0_boxplot.csv",
+            "ce_0_steps.csv",
+        ]
+        for stem in ("ce_0", "bdr_0"):
+            traces = json.loads((out / f"{stem}.json").read_text())["body"]["traces"]
+            own = sorted(n for n in os.listdir(out) if n.startswith(f"{stem}_"))
+            assert sorted(traces.values()) == own
+
+
+class TestRunIdentity:
+    # a body holds the settings its run trains on, not the invocation around it
+    def test_one_pair_has_one_hash_under_any_run_list_and_out(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "full.cfg"
+        config_path.write_text(SMALL_CONFIG)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "full")]) == 0
+        alone = SMALL_CONFIG.replace("variants = ce, bdr", "variants = bdr")
+        alone = alone.replace("seeds = 0", "seeds = 1, 0").replace("out = runs", "out = alone")
+        config_path = tmp_path / "alone.cfg"
+        config_path.write_text(alone)
+        monkeypatch.chdir(tmp_path)  # no --out: the file's out names the directory
+        assert main(["run", str(config_path)]) == 0
+        full, alone = (json.loads((tmp_path / d / "bdr_0.json").read_text()) for d in ("full", "alone"))
+        assert full["body_sha256"] == alone["body_sha256"]
+        assert full["body"] == alone["body"]
+
+    def test_ce_and_cr_bodies_are_equal_across_a_tau_sweep(self, tmp_path):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_CONFIG.replace("variants = ce, bdr", "variants = ce, cr, bdr"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config_path), "--param", "tau", "--values", "1,2", "--out", str(out)]) == 0
+
+        def body(tau, stem):
+            return json.loads((out / f"tau={tau}" / f"{stem}.json").read_text())["body"]
+
+        assert body(1.0, "ce_0") == body(2.0, "ce_0")
+        assert body(1.0, "cr_0") == body(2.0, "cr_0")
+        assert [body(tau, "bdr_0")["config"]["tau"] for tau in (1.0, 2.0)] == [1.0, 2.0]
