@@ -334,20 +334,21 @@ class TestCmdRun:
         assert len(err) == 1 and err[0].startswith("training diverged: "), done.stderr
 
     @pytest.mark.parametrize("command", ["run", "verify"])
-    def test_command_never_imports_scipy_optimize(self, tmp_path, command):
-        # no command needs it: the balanced-risk oracle behind `verify` solves
-        # its points by Newton in numpy
+    def test_command_never_imports_scipy(self, tmp_path, command):
+        # bdrlab runs on numpy alone: Lanczos solves its tridiagonal with
+        # np.linalg.eigh, and the balanced-risk oracle behind `verify` solves
+        # its points by Newton
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(SMALL_CONFIG)
         argv = ["run", str(config_path), "--out", str(tmp_path / "out")] if command == "run" else ["verify"]
         script = (
             "import sys\nfrom bdrlab.cli import main\n"
             f"code = main({argv!r})\n"
-            "print('scipy.optimize' in sys.modules)\nsys.exit(code)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\nsys.exit(code)\n"
         )
         done = _python("-c", script)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_report_body_schema(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
@@ -786,8 +787,8 @@ class TestCmdVerify:
 
 
 class TestDependencies:
-    def test_scipy_is_imported_only_for_lanczos(self):
-        # one import site, so the dependency can be dropped in one change
+    def test_nothing_imports_scipy(self):
+        # numpy is bdrlab's only dependency, and no test module imports scipy
         root = Path(__file__).resolve().parents[1]
         sites = set()
         for path in [*sorted((root / "src" / "bdrlab").glob("*.py")), *sorted((root / "tests").glob("*.py"))]:
@@ -796,7 +797,7 @@ class TestDependencies:
                 if isinstance(node, ast.ImportFrom) and node.level == 0:
                     names = [node.module]
                 sites.update((path.name, name) for name in names if name.split(".")[0] == "scipy")
-        assert sites == {("diagnostics.py", "scipy.linalg")}
+        assert sites == set()
 
 
 class TestOutputsIsolated:
