@@ -205,11 +205,13 @@ def _cmd_sweep(args):
     if not texts:
         raise ConfigError("sweep needs at least one value")
     out_root = args.out or cfg.out
+    classes = load_idx(cfg.idx_images, cfg.idx_labels).class_count if cfg.dataset_kind == "idx" else cfg.classes
     swept_configs = []
     for text in texts:  # every value is checked before the first run starts
         try:
             value = parse_value(attr, text)
             swept = replace(cfg, **{attr: value})
+            check_class_count(swept, classes)
             for earlier, earlier_cfg in swept_configs:
                 if value == earlier:
                     raise ConfigError(f"{value} listed more than once")

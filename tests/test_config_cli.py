@@ -590,8 +590,14 @@ class TestConfigErrorsAtParseTime:
         assert err.startswith(f"config error: sweep value {param}=inf: bad value for {key}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("attr, section", [("hidden", "train"), ("variants", "run"), ("seeds", "run")])
+    def test_empty_list_from_python_is_a_config_error(self, attr, section):
+        # as `hidden =` in a file fails, so does an empty tuple
+        with pytest.raises(ConfigError, match=re.escape(f"bad value for '{attr}' in [{section}]: {attr} ")):
+            ExperimentConfig(**{attr: ()})
+
     def test_nan_keeps_its_range_message(self):
-        with pytest.raises(ConfigError, match="learning rate must be positive, got nan"):
+        with pytest.raises(ConfigError, match="lr must be positive, got nan"):
             ExperimentConfig(lr=float("nan"))
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "tau", "--values", "1"]], ids=["run", "sweep"])
@@ -739,6 +745,15 @@ seeds = 0
             assert err.startswith("config error: bad value for 'budget' in [memory]")
             assert not out.exists()
 
+    def test_sweep_checks_each_split_of_the_file_classes_before_the_first_run(self, tmp_path, capsys, no_training):
+        # B = 2 then blocks of S deal out 6 classes at S = 2, but not at S = 3
+        config_path, _ = self._write_idx_config(tmp_path, classes=6, n=180)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config_path), "--param", "S", "--values", "2,3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep value S=3: bad value for 'initial_classes' or 'increment'")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "counts, named",
         [([40, 40, 40, 0, 40, 40], "class 3 has 0 sample(s)"), ([40, 40, 1, 40], "class 2 has 1 sample(s)")],
@@ -836,6 +851,20 @@ class TestRunIdentity:
         full, alone = (json.loads((tmp_path / d / "bdr_0.json").read_text()) for d in ("full", "alone"))
         assert full["body_sha256"] == alone["body_sha256"]
         assert full["body"] == alone["body"]
+
+    def test_temperature_leaves_the_body_when_distillation_is_off(self, tmp_path):
+        def body(weight, temperature):
+            text = SMALL_CONFIG.replace("variants = ce, bdr", "variants = bdr").replace(
+                "hidden = 12, 12", f"hidden = 12, 12\ndistill_weight = {weight}\ndistill_temperature = {temperature}"
+            )
+            config_path = tmp_path / f"{weight}_{temperature}.cfg"
+            config_path.write_text(text)
+            out = tmp_path / config_path.stem
+            assert main(["run", str(config_path), "--out", str(out)]) == 0
+            return json.loads((out / "bdr_0.json").read_text())["body"]
+
+        assert body(0, 2) == body(0, 3)
+        assert body(1, 2) != body(1, 3)
 
     def test_ce_and_cr_bodies_are_equal_across_a_tau_sweep(self, tmp_path):
         config_path = tmp_path / "exp.cfg"

@@ -1,15 +1,16 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from bdrlab import training
 from bdrlab.balance import ce_with_offset, log_softmax
-from bdrlab.config import ExperimentConfig
+from bdrlab.config import ConfigError, ExperimentConfig
 from bdrlab.data import LabeledSet, make_gaussian_mixture, split_phases
 from bdrlab.diagnostics import cauchy_gap
 from bdrlab.memory import merged_training_set
@@ -31,6 +32,36 @@ from bdrlab.training import (
     train_phase,
 )
 from bdrlab.verification import finite_diff_check, frozen_mask_forward, frozen_mask_hessian, kinked_relu_problem
+
+
+# every config field, by attribute, and one value its rule rejects
+KEYED_FIELDS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+BAD_SETTINGS = {
+    "dataset_kind": "images",
+    "classes": 1,
+    "per_class": 1,
+    "dim": 1,
+    "separation": 0.0,
+    "ring_noise": -0.1,
+    "initial_classes": -1,
+    "memory_mode": "ring",
+    "memory_budget": 0,
+    "memory_selection": "greedy",
+    "epochs": 0,
+    "batch_size": 0,
+    "lr": float("nan"),
+    "sgd_momentum": 1.0,
+    "distill_weight": -1.0,
+    "distill_temperature": 0.0,
+    "variance_source": "weights",
+    "hidden": (8, 0),
+    "m": 1.5,
+    "m_prime": 1.2,
+    "beta": -0.1,
+    "tau": -1.0,
+    "variants": ("ce", "focal"),
+    "seeds": (0, 0),
+}
 
 
 def small_config(**overrides):
@@ -839,34 +870,18 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(m=1.5)
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"memory_budget": 0},
-            {"memory_mode": "ring"},
-            {"tau": -1.0},
-            {"distill_temperature": 0.0},
-            {"hidden": (8, 0)},
-            {"m_prime": 1.2},
-            {"beta": -0.1},
-            {"memory_selection": "greedy"},
-            {"variance_source": "weights"},
-        ],
-        ids=[
-            "memory_budget",
-            "memory_mode",
-            "tau",
-            "distill_temperature",
-            "hidden",
-            "m_prime",
-            "beta",
-            "memory_selection",
-            "variance_source",
-        ],
-    )
-    def test_bad_setting_names_its_field(self, change):
-        with pytest.raises(ValueError, match=next(iter(change))):
-            ExperimentConfig(**change)
+    @pytest.mark.parametrize("attr, bad", list(BAD_SETTINGS.items()), ids=list(BAD_SETTINGS))
+    def test_bad_setting_names_its_field(self, attr, bad):
+        meta = KEYED_FIELDS[attr].metadata
+        named = f"bad value for '{meta['key']}' in [{meta['section']}]: {attr} "
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig(**{attr: bad})
+
+    def test_every_keyed_field_but_four_declares_its_rule(self):
+        # increment: the phase split checks it; images and labels: the idx rule; out: any name
+        unruled = {name for name, f in KEYED_FIELDS.items() if f.metadata["rule"] is None}
+        assert unruled == {"increment", "idx_images", "idx_labels", "out"}
+        assert set(BAD_SETTINGS) == set(KEYED_FIELDS) - unruled
 
     @pytest.mark.parametrize("momentum", [-0.1, 1.0, 5.0])
     def test_sgd_momentum_outside_unit_interval(self, momentum):
