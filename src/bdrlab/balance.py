@@ -16,7 +16,8 @@ Conventions fixed here:
   * intra-class variance reduces to one scalar per class by averaging the
     per-dimension variances;
   * variances are floored at ``VARIANCE_FLOOR`` before inversion so a
-    collapsed class cannot produce an infinite weight;
+    collapsed class cannot produce an infinite weight; when every class is
+    collapsed (each trains on one row, say) the weights are uniform, 1/K;
   * the initial mix is frozen at phase start and momentum-blended with the
     running mix on every step.
 """
@@ -28,12 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIANCE_FLOOR = 1e-8
-
-
-class DegenerateTrainingError(ValueError):
-    """The network stopped carrying signal: every unit of its last hidden
-    layer is dead, or every class's intra-class variance is zero, so the
-    training status is undefined."""
 
 
 def log_softmax(z):
@@ -106,7 +101,10 @@ def scalar_variance(features, mean):
 
 
 def compensation(variances):
-    """Normalized inverse-variance weights: lower variance, higher weight."""
+    """Normalized inverse-variance weights: lower variance, higher weight.
+
+    Each variance is floored at ``VARIANCE_FLOOR`` first, so variances all
+    at or below it, all-zero ones included, give uniform weights."""
     v = np.asarray(variances, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"variances must be a non-empty vector, got shape {v.shape}")
@@ -114,10 +112,6 @@ def compensation(variances):
         raise FloatingPointError(f"variances must be finite, got {v.tolist()}")
     if np.any(v < 0):
         raise ValueError(f"variances must be non-negative, got {v.tolist()}")
-    if not np.any(v > 0):
-        raise DegenerateTrainingError(
-            "all-zero variances: training status is degenerate (constant features, as from dead ReLU units)"
-        )
     inv = 1.0 / np.maximum(v, VARIANCE_FLOOR)
     return inv / inv.sum()
 

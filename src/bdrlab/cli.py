@@ -25,11 +25,10 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 
-from .balance import DegenerateTrainingError
 from .config import ConfigError, ExperimentConfig, check_class_count, load_config, parse_value
 from .data import IdxFormatError, load_idx, make_gaussian_mixture, make_rings, split_phases
 from .reporting import write_balance_csv, write_boxplot_csv, write_report, write_step_csv, write_sweep_csv
-from .training import DivergenceError, first_phase, run_experiment
+from .training import DegenerateTrainingError, DivergenceError, first_phase, run_experiment
 
 # sweep name -> config attribute (protocol letters follow the benchmark notation)
 SWEEP_PARAMS = {
@@ -56,7 +55,8 @@ def build_stream(cfg: ExperimentConfig, seed):
 
 
 def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
-    """One experiment: train, write report + traces, return the summary.
+    """One experiment: train, write report + traces, return the summary,
+    which names the report's path.
 
     ``seed_start`` is a dict shared by the runs of one seed. The first run
     fills it with the first phase, stream included, so their cost is part
@@ -85,8 +85,8 @@ def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
     body = dict(result.report)
     body["config"] = cfg.as_trained(variant)
     body["traces"] = trace_files
-    wall = time.perf_counter() - started
-    write_report(os.path.join(out_dir, f"{stem}.json"), body, wall)
+    path = os.path.join(out_dir, f"{stem}.json")
+    write_report(path, body, time.perf_counter() - started)
     f_max_per_phase = [
         entry["destruction"]["f_max"]
         for entry in result.report["phases"]
@@ -98,6 +98,7 @@ def run_single(cfg: ExperimentConfig, variant, seed, out_dir, seed_start):
         "avg": result.report["avg"],
         "last": result.report["last"],
         "f_max": f_max_per_phase,
+        "path": path,
     }
 
 
@@ -166,8 +167,7 @@ def _execute(cfg: ExperimentConfig, out_dir, jobs):
     if jobs > 1:
         for runs, _ in results[len(per_seed) :]:
             for late in runs:
-                path = os.path.join(out_dir, f"{late['variant']}_{late['seed']}.json")
-                print(f"not summarised, its seed follows the failed one: {path}", file=sys.stderr)
+                print(f"not summarised, its seed follows the failed one: {late['path']}", file=sys.stderr)
     summaries = [runs[i] for i in range(len(cfg.variants)) for runs in per_seed if i < len(runs)]
     return summaries, failure
 

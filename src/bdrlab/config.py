@@ -94,7 +94,7 @@ class ExperimentConfig:
     distill_weight: float = _key("train", "distill_weight", 1.0, float, _NON_NEGATIVE)
     distill_temperature: float = _key("train", "distill_temperature", 2.0, float, _POSITIVE)
     variance_source: str = _key(
-        "train", "variance_source", "feature", str.strip, _one_of("feature", "logit"), acts_on=(LOSS_BDR,)
+        "train", "variance_source", "feature", str.strip, _one_of("feature"), acts_on=(LOSS_BDR,)
     )
     hidden: tuple = _key(
         "train", "hidden", (64, 64), _parse_int_list, ((lambda v: v and min(v) >= 1), "must be widths of at least 1")

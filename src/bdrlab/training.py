@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import balance
-from .balance import DegenerateTrainingError, ce_with_offset, checked_logits, log_softmax
+from .balance import ce_with_offset, checked_logits, log_softmax
 from .data import LabeledSet, PhaseStream, concat_sets
 from .diagnostics import TopEigen, bound_report, destruction_report, hessian_top_eigen, metrics
 from .memory import ExemplarMemory, merged_training_set
@@ -75,6 +75,11 @@ LR_DECAY_POINT = 2.0 / 3.0
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+class DegenerateTrainingError(ValueError):
+    """The network stopped carrying signal: no unit of its last hidden layer
+    fired on any batch of an epoch."""
 
 
 class Activations(NamedTuple):
@@ -289,14 +294,13 @@ def _phase_loss(variant, model, data: LabeledSet, config):
         log_priors = np.log(priors)
         return (lambda logits, y: ce_with_offset(logits, log_priors, y)), None
     # run_experiment has checked the variant, so what is left is bdr
-    source = "features" if config.variance_source == "feature" else "logits"
-    stats = balance.stats_from_pass(getattr(model.forward(data.features), source), data.labels, k)
+    stats = balance.stats_from_pass(model.forward(data.features).features, data.labels, k)
     schedule = balance.init_schedule(
         priors, balance.compensation(stats.variance), config.m, config.m_prime, config.beta, config.tau
     )
 
     def track(phase, step, acts, y):
-        omega = balance.momentum_update(stats, schedule, getattr(acts, source), y)
+        omega = balance.momentum_update(stats, schedule, acts.features, y)
         return [(phase, step, c, *row) for c, row in enumerate(zip(omega.tolist(), schedule.pi_hat.tolist()))]
 
     return (lambda logits, y: balance.bdr_loss(logits, y, schedule)), track

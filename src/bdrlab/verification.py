@@ -334,7 +334,7 @@ def check_balanced_risk(problems=50, seed=3):
 def _random_psd(rng, dim):
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     eigenvalues = rng.uniform(0.1, 10.0, dim)
-    return (basis * eigenvalues) @ basis.T, eigenvalues.max()
+    return (basis * eigenvalues) @ basis.T, float(eigenvalues.max())
 
 
 def kinked_relu_problem(seed=8):
@@ -397,7 +397,7 @@ def check_toy_bound(problems=10, seed=5):
     details = []
     for _ in range(problems):
         dim = int(rng.integers(2, 9))
-        old_hessian, _ = _random_psd(rng, dim)
+        old_hessian, sigma = _random_psd(rng, dim)  # its top eigenvalue, known exactly
         new_hessian, new_top = _random_psd(rng, dim)
         target = rng.standard_normal(dim) * 2.0
         lr = min(0.1, 1.0 / new_top)
@@ -410,7 +410,6 @@ def check_toy_bound(problems=10, seed=5):
             theta = theta - lr * grad
             old_losses.append(0.5 * float(theta @ old_hessian @ theta))
         rise, peak = f_max(old_losses)
-        sigma = hessian_top_eigen(lambda v: old_hessian @ v, dim, tol=1e-10, max_iter=5000, seed=seed).value
         bound = peak_bound(peak, lr, sigma, float(np.sum(grad_sq[:peak])))
         margin = bound - rise
         ok = ok and margin >= -1e-9 * max(1.0, bound)

@@ -91,7 +91,7 @@ def test_criterion_06_curvature_and_toy_bound():
     estimator = verification.check_hessian_estimator(problems=20, tol=1e-3)
     assert estimator.passed, estimator.detail
     toy = verification.check_toy_bound(problems=10)
-    assert toy.passed, toy.detail
+    assert toy.passed is True, toy.detail  # a bool, not a numpy one
     print(f"PASS criterion 6 (curvature estimator + analytic bound): {estimator.detail}; {toy.detail}")
 
 

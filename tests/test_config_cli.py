@@ -268,6 +268,22 @@ class TestCmdRun:
         assert len(err) == 1 and err[0].startswith("training degenerated: dead network")
         assert err[0].endswith(" (variant ce, seed 0)")
 
+    def test_one_training_row_per_class_runs_every_variant(self, tmp_path, capsys):
+        # each class keeps one row to train on: bdr's status variances start
+        # at zero, which weighs the classes uniformly
+        text = SMALL_CONFIG.replace("per_class = 36", "per_class = 2").replace("epochs = 3", "epochs = 2")
+        config_path = tmp_path / "single.cfg"
+        config_path.write_text(text.replace("variants = ce, bdr", "variants = ce, cr, bdr"))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert [line.split("\t")[:2] for line in captured.out.splitlines()] == [["ce", "0"], ["cr", "0"], ["bdr", "0"]]
+        assert captured.err == ""
+        with open(out / "bdr_0_balance.csv", newline="") as fh:
+            first_step = [row for row in csv.DictReader(fh) if row["step"] == "0"]
+        assert [row["class"] for row in first_step] == ["0", "1", "2", "3"]
+        assert {float(row["omega"]) for row in first_step} == {0.25}
+
     def test_failure_keeps_finished_summaries_and_names_its_pair(self, tmp_path, capsys):
         # tau acts on bdr only: ce and cr finish, and bdr's first offset overflows
         text = BENCHMARK_CONFIG.read_text().replace("tau = 2.0", "tau = 1e308")
@@ -479,6 +495,10 @@ class TestConfigErrorsAtParseTime:
             ({"separation = 3.0": "separation = 0"}, "'separation' in [dataset]"),
             ({"kind = gaussian": "kind = rings\nnoise = -1"}, "'noise' in [dataset]"),
             ({"[run]": "[balance]\ntau = -1\n\n[run]"}, "'tau' in [balance]"),
+            (
+                {"hidden = 12, 12": "hidden = 12, 12\nvariance_source = logit"},
+                "bad value for 'variance_source' in [train]: variance_source must be one of feature, got 'logit'",
+            ),
         ],
         ids=[
             "negative_lr",
@@ -502,6 +522,7 @@ class TestConfigErrorsAtParseTime:
             "zero_separation",
             "negative_ring_noise",
             "negative_tau",
+            "logit_variance_source",
         ],
     )
     def test_run_rejects(self, tmp_path, capsys, edits, key):

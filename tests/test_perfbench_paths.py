@@ -8,8 +8,9 @@ traced benchmark run; this check reads the same table and names it at once.
 ``perfbench/checks.py`` looks its reference up by the child's whole record
 of loaded BLAS libraries, which names scipy's own BLAS only while a run
 imports ``scipy.linalg``. Without it the harness finds no reference and
-skips its behavioural comparison, so this file makes that comparison under
-the key nproc, numpy version and numpy's BLAS build.
+skips its behavioural comparison, so this file makes that comparison, on
+window 0 of every workload, under the key nproc, numpy version and numpy's
+BLAS build.
 """
 
 import ast
@@ -112,16 +113,21 @@ def _numpy_key(environment):
     return environment["nproc"], environment["numpy"], blas
 
 
-def test_paired_window_zero_meets_the_recorded_behaviour(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "name, runs", [("paired", 15), ("long_stream", 2), ("wide", 6)], ids=["paired", "long_stream", "wide"]
+)
+def test_window_zero_meets_the_recorded_behaviour(tmp_path, monkeypatch, name, runs):
     # configs/benchmark.cfg is the paired workload's window 0 (seeds 0-4)
     assert (ROOT / "configs" / "benchmark.cfg").read_bytes() == (PERFBENCH / "workloads" / "paired.cfg").read_bytes()
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import checks
     import run
 
-    out, facts_path = tmp_path / "out", tmp_path / "facts.json"
+    workload = run.Workload(name, run.WORKLOADS[name])
+    config_path, out, facts_path = tmp_path / f"{name}.cfg", tmp_path / "out", tmp_path / "facts.json"
+    config_path.write_text(workload.config_text(0))
     done = subprocess.run(
-        [sys.executable, run.CHILD, "run", str(ROOT / "configs" / "benchmark.cfg"), str(out), "1", str(facts_path)],
+        [sys.executable, run.CHILD, "run", str(config_path), str(out), "1", str(facts_path)],
         cwd=ROOT,
         env=run.child_environment(),
         capture_output=True,
@@ -131,13 +137,12 @@ def test_paired_window_zero_meets_the_recorded_behaviour(tmp_path, monkeypatch):
     environment = json.loads(facts_path.read_text())["environment"]
     key = _numpy_key(environment)
     entries = json.loads(Path(checks.REFERENCE_PATH).read_text())["environments"]
-    matches = [e["workloads"]["paired"] for e in entries if _numpy_key(e["environment"]) == key]
+    matches = [e["workloads"][name] for e in entries if _numpy_key(e["environment"]) == key]
     if not key[2] or not matches:
         pytest.skip(f"no reference recorded for nproc {key[0]}, numpy {key[1]}, BLAS {key[2]}")
     expected = matches[0]
-    workload = run.Workload("paired", run.WORKLOADS["paired"])
     outputs = [checks.RunOutput(out, v, s) for v in workload.variants for s in workload.seeds(0)]
     for output in outputs:
         output.compare(expected[output.run])
-    assert len(outputs) == 15
+    assert len(outputs) == runs
     assert [p for o in outputs for p in o.problems] == []
